@@ -9,7 +9,7 @@ O(degree) through per-node adjacency sets.
 from __future__ import annotations
 
 import math
-from typing import IO, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import IO, AbstractSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,15 +81,20 @@ class DynamicGraph:
         self.n = n
         self._edges: set[Pair] = set()
         self._adj: list[set[int]] = [set() for _ in range(n)]
+        edge_set, adj = self._edges, self._adj
         for u, v in edges:
-            e = pair(u, v)
-            if e[1] >= n:
+            # pair() inlined: this loop builds every random start graph
+            e = (u, v) if u < v else (v, u)
+            a, b = e
+            if a < 0 or a == b:
+                pair(u, v)  # raises the self-loop or negative-index error
+            if b >= n:
                 raise GraphError(f"edge {e} out of range for n={n}")
-            if e in self._edges:
+            if e in edge_set:
                 raise GraphError(f"duplicate edge {e}")
-            self._edges.add(e)
-            self._adj[e[0]].add(e[1])
-            self._adj[e[1]].add(e[0])
+            edge_set.add(e)
+            adj[a].add(b)
+            adj[b].add(a)
 
     # -- queries ---------------------------------------------------------
 
@@ -102,8 +107,14 @@ class DynamicGraph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def neighbors(self, v: int) -> frozenset:
-        return self._adj[v]  # treated as read-only by callers
+    def neighbors(self, v: int) -> AbstractSet[int]:
+        """The neighbors of ``v`` as a live view of the adjacency set.
+
+        The set changes with every later flip at ``v``; callers must not
+        mutate it.  No copy is made because the counters iterate it on
+        every update.
+        """
+        return self._adj[v]
 
     def edge_count(self) -> int:
         return len(self._edges)
@@ -158,16 +169,23 @@ def random_graph(
     rng: np.random.Generator,
     restriction: Optional[Sequence[Pair]] = None,
 ) -> DynamicGraph:
-    """Each allowed pair present independently with probability 1/2."""
+    """Each allowed pair present independently with probability 1/2.
+
+    Stream contract: one ``rng.random(k)`` draw, where k is the number of
+    allowed pairs (binom(n,2) without a restriction); the i-th allowed
+    pair, in :func:`pair_index` order or the restriction's order, is
+    present iff its draw is < 0.5.
+    """
     if restriction is not None:
         allowed = list(restriction)
         if not allowed:
             return DynamicGraph(n)
         mask = rng.random(len(allowed)) < 0.5
         return DynamicGraph(n, [e for e, keep in zip(allowed, mask) if keep])
-    m = pair_count(n)
-    mask = rng.random(m) < 0.5
-    return DynamicGraph(n, [index_pair(n, i) for i in np.flatnonzero(mask)])
+    mask = rng.random(pair_count(n)) < 0.5
+    # row-major np.triu_indices order is pair_index order
+    us, vs = np.triu_indices(n, 1)
+    return DynamicGraph(n, zip(us[mask].tolist(), vs[mask].tolist()))
 
 
 # -- serialization (plain-text edge list) --------------------------------
@@ -179,15 +197,24 @@ def write_edge_list(g: DynamicGraph, fp: IO[str]) -> None:
         fp.write(f"{u} {v}\n")
 
 
+def _int_pair(line: str, what: str) -> Pair:
+    parts = line.split()
+    if len(parts) != 2:
+        raise GraphError(f"{what} must be two integers, got {line.strip()!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphError(f"{what} must be two integers, got {line.strip()!r}") from None
+
+
 def read_edge_list(fp: IO[str]) -> DynamicGraph:
-    header = fp.readline().split()
-    if len(header) != 2:
-        raise GraphError("edge list header must be 'n m'")
-    n, m = int(header[0]), int(header[1])
-    edges = []
-    for _ in range(m):
-        parts = fp.readline().split()
-        if len(parts) != 2:
-            raise GraphError("edge line must be 'u v'")
-        edges.append(pair(int(parts[0]), int(parts[1])))
+    """Parse the format of :func:`write_edge_list`: a header ``n m``, then
+    exactly m lines ``u v``; only blank lines may follow them."""
+    n, m = _int_pair(fp.readline(), "edge list header 'n m'")
+    if n < 0 or m < 0:
+        raise GraphError(f"edge list header 'n m' must be nonnegative, got {n} {m}")
+    edges = [_int_pair(fp.readline(), "edge line 'u v'") for _ in range(m)]
+    for line in fp:
+        if line.strip():
+            raise GraphError(f"line after the {m} declared edges: {line.strip()!r}")
     return DynamicGraph(n, edges)

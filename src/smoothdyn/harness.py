@@ -36,7 +36,6 @@ from .oracles import (
     bf_two_paths,
 )
 from .reduction import (
-    dadvp_verify_histogram,
     exact_st3_counter_factory,
     f2_oumv_oracle,
     int_oumv_oracle,
@@ -44,7 +43,6 @@ from .reduction import (
     random_oumv_instance,
     run_p3_to_general,
     sol_solve,
-    st3_counter_factory,
     worstcase_to_average_split,
 )
 from .smoothing import (

@@ -138,7 +138,15 @@ class SmoothedSource:
 def smooth_initial(
     h0: DynamicGraph, params: SmoothingParams, rng: np.random.Generator
 ) -> DynamicGraph:
-    """Keep each allowed pair per ``h0`` w.p. p, else resample Bernoulli(1/2)."""
+    """Keep each allowed pair per ``h0`` w.p. p, else resample Bernoulli(1/2).
+
+    Stream contract: two draws of k values, where k is the number of
+    allowed pairs (binom(n,2) without a restriction): first
+    ``keep = rng.random(k) < p``, then ``resample = rng.random(k) < 0.5``.
+    The i-th allowed pair, in :func:`pair_index` order or the restriction's
+    order, is present iff ``h0`` has it when ``keep[i]``, else iff
+    ``resample[i]``.
+    """
     if params.restriction is not None:
         allowed: Sequence[Pair] = [pair(u, v) for u, v in params.restriction]
         allowed_set = set(allowed)
@@ -317,7 +325,3 @@ class FlipSimulatingARAdversary:
         e = self._flip_adversary.propose(step)
         kind = Kind.ADD if self._rng.random() < 0.5 else Kind.REMOVE
         return e, kind
-
-
-def oblivious_ar_simulating_flip(flip_adversary, rng: np.random.Generator):
-    return FlipSimulatingARAdversary(flip_adversary, rng)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -18,6 +19,7 @@ from smoothdyn.graph import (
     uniform_pair,
     write_edge_list,
 )
+from smoothdyn.rng import trial_stream
 
 
 def test_pair_canonical():
@@ -43,10 +45,18 @@ def test_path_degrees():
 
 
 def test_construction_errors():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="duplicate"):
         DynamicGraph(3, [(0, 1), (1, 0)])  # duplicate after canonicalization
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="out of range"):
         DynamicGraph(3, [(0, 5)])
+    with pytest.raises(GraphError, match="out of range"):
+        DynamicGraph(3, [(5, 0)])
+    with pytest.raises(GraphError, match="self-loop"):
+        DynamicGraph(3, [(1, 1)])
+    with pytest.raises(GraphError, match="negative"):
+        DynamicGraph(3, [(2, -1)])
+    with pytest.raises(GraphError, match="negative"):
+        DynamicGraph(3, [(-2, -1)])
 
 
 def test_flip_add_remove():
@@ -92,6 +102,55 @@ def test_index_pair_bijection(n):
         index_pair(n, pair_count(n))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2**21), st.data())
+def test_index_pair_roundtrip_large_n(n, data):
+    """Round trip at a row start or next to it, where the float estimate
+    of the row lies closest to an integer and the integer fix-up must
+    settle it, and at an arbitrary index."""
+    u = data.draw(st.integers(0, n - 2))
+    near_start = pair_index(n, (u, u + 1)) + data.draw(st.integers(-1, 1))
+    anywhere = data.draw(st.integers(0, pair_count(n) - 1))
+    for i in (near_start, anywhere):
+        if 0 <= i < pair_count(n):
+            a, b = index_pair(n, i)
+            assert 0 <= a < b < n
+            assert pair_index(n, (a, b)) == i
+
+
+def _decode_one_by_one(n, twin):
+    """The per-pair decoding ``random_graph`` used before it went through
+    ``np.triu_indices``; kept as the reference it must match."""
+    return {index_pair(n, i) for i in np.flatnonzero(twin.random(pair_count(n)) < 0.5)}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 30, 100])
+def test_random_graph_matches_per_pair_decoding(n):
+    for seed in (0, 1, 7, 104):
+        stream, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = random_graph(n, stream)
+        expected = _decode_one_by_one(n, twin)
+        assert g.edge_set() == expected
+        assert all(type(u) is int and type(v) is int for u, v in g.edges())
+        adj = [set() for _ in range(n)]
+        for u, v in expected:
+            adj[u].add(v)
+            adj[v].add(u)
+        assert [set(g.neighbors(v)) for v in range(n)] == adj
+        assert stream.bit_generator.state == twin.bit_generator.state
+
+
+def test_random_graph_pinned_digest():
+    # sha256 of the sorted edge list of random_graph(100) at this stream,
+    # computed with the per-pair decoding: a seed keeps its meaning.
+    edges = sorted(random_graph(100, trial_stream(104, 0)).edges())
+    text = repr([(int(u), int(v)) for u, v in edges])
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "cf9a7e4422798eeeaf15af5011495ab194ead5a48dac8f6ff87f7ddb4cd2d4f3"
+    )
+
+
 def test_uniform_pair_marginals():
     rng = np.random.default_rng(0)
     n = 5
@@ -132,3 +191,31 @@ def test_edge_list_roundtrip():
     assert text.startswith("5 3\n") and text.endswith("\n")
     back = read_edge_list(io.StringIO(text))
     assert back.n == g.n and back.edge_set() == g.edge_set()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",  # no header
+        "5\n",  # short header
+        "n m\n",  # non-integer header
+        "-5 0\n",  # negative n
+        "5 -3\n",  # negative m
+        "3 2\n0 1\n",  # fewer edge lines than declared
+        "3 1\n0 x\n",  # non-integer token
+        "3 1\n0 1 2\n",  # three tokens
+        "3 1\n0 5\n",  # out of range
+        "3 1\n0 -1\n",  # negative node
+        "3 1\n1 1\n",  # self-loop
+        "3 2\n0 1\n1 0\n",  # duplicate
+        "5 1\n0 1\n2 3\n",  # an edge line past the declared m
+    ],
+)
+def test_read_edge_list_rejects_malformed(text):
+    with pytest.raises(GraphError):
+        read_edge_list(io.StringIO(text))
+
+
+def test_read_edge_list_allows_trailing_blank_lines():
+    g = read_edge_list(io.StringIO("3 1\n0 1\n\n  \n"))
+    assert g.n == 3 and g.edge_set() == {(0, 1)}

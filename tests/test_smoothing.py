@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from smoothdyn.graph import DynamicGraph, all_pairs, random_graph
+from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph
 from smoothdyn.rng import adversary_stream, smoothing_stream, stream
 from smoothdyn.smoothing import (
     ChangeEvent,
@@ -64,6 +64,44 @@ def test_smooth_initial_p0_marginal_half():
         smooth_initial(h0, SmoothingParams(0.0), rng).has(0, 1) for _ in range(10000)
     )
     assert abs(hits / 10000 - 0.5) < 0.02
+
+
+def _smooth_initial_by_zip(h0, params, rng):
+    """The stream contract in ``smooth_initial``'s docstring, written out
+    as the reference any faster selection must match."""
+    if params.restriction is not None:
+        allowed = [pair(u, v) for u, v in params.restriction]
+    else:
+        allowed = list(all_pairs(h0.n))
+    keep = rng.random(len(allowed)) < params.p
+    resample = rng.random(len(allowed)) < 0.5
+    return {e for e, k, r in zip(allowed, keep, resample) if (h0.has_pair(e) if k else r)}
+
+
+@pytest.mark.parametrize(
+    "n, restricted",
+    [(n, False) for n in (0, 1, 2, 3, 30, 100)] + [(n, True) for n in (2, 3, 30, 100)],
+)
+def test_smooth_initial_matches_zip_reference(n, restricted):
+    pairs = list(all_pairs(n))
+    for seed in (0, 5, 104):
+        restriction = None
+        if restricted:
+            picks = stream(seed, 1).permutation(len(pairs))[: max(1, len(pairs) // 3)]
+            restriction = tuple(pairs[i][::-1] for i in picks)  # unsorted, reversed
+        h0 = random_graph(n, stream(seed, 2), restriction=restriction)
+        for p in (0.0, 0.3, 1.0):
+            params = SmoothingParams(p, restriction=restriction)
+            rng, twin = stream(seed, 3), stream(seed, 3)
+            g = smooth_initial(h0, params, rng)
+            expected = _smooth_initial_by_zip(h0, params, twin)
+            assert g.edge_set() == expected
+            adj = [set() for _ in range(n)]
+            for u, v in expected:
+                adj[u].add(v)
+                adj[v].add(u)
+            assert [set(g.neighbors(v)) for v in range(n)] == adj
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_next_change_p1_scripted():
