@@ -11,18 +11,18 @@ round-robins idempotent add/remove proposals toward known targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .graph import DynamicGraph, Pair, pair, uniform_pair
 from .smoothing import (
-    ChangeEvent,
     Model,
     Provenance,
     SmoothedSource,
     SmoothingParams,
+    notify_and_flip,
 )
 
 
@@ -72,8 +72,9 @@ class AdaptiveEmbedAdversary:
     """Adaptive flip adversary realizing R' inside R.
 
     Keeps the pending set (edges of R whose state differs from target)
-    incrementally: the driver reports each realized flip via
-    :meth:`notify`, costing O(1) per event.  Every proposal is a pending
+    incrementally: it observes each realized flip through
+    :meth:`update`, costing O(1) per event, and never reads the graph, so
+    it may see a flip before the flip lands.  Every proposal is a pending
     edge, hence always inside R.
     """
 
@@ -89,7 +90,7 @@ class AdaptiveEmbedAdversary:
     def propose(self, graph: DynamicGraph) -> Pair:
         return next(iter(self._pending))
 
-    def notify(self, edge: Pair) -> None:
+    def update(self, edge: Pair, now_present: bool) -> None:
         if edge in self._region:
             if edge in self._pending:
                 del self._pending[edge]
@@ -110,14 +111,14 @@ def run_adaptive_embed(
     source = SmoothedSource(
         Model.ADAPTIVE, SmoothingParams(task.p), adversary, g.n, rng=rng
     )
+    observers = [adversary]
     hits = 0
     steps = 0
     while not adversary.done and steps < task.budget:
         ev = source.next_change(g)
-        g.flip(*ev.edge)
+        notify_and_flip(g, ev.edge, observers)
         if ev.provenance is Provenance.RANDOM and ev.edge in task.region:
             hits += 1
-        adversary.notify(ev.edge)
         steps += 1
     return EmbedResult(adversary.done, steps, hits)
 
@@ -130,6 +131,14 @@ class PhaseScript:
     @property
     def r_hat(self) -> int:
         return max((len(ph) for ph in self.phases), default=0)
+
+
+def phase_cutoff(k: int, r_hat: int, p: float, c: float = 1.0) -> int:
+    """Per-phase step cutoff ceil(40(c+2) * r_hat * max(log k, 1) / p); the log
+    floor makes k=1 a single adaptive embedding with a positive budget."""
+    if p <= 0:
+        raise InfeasibleTaskError("phased embedding requires p > 0")
+    return math.ceil(40.0 * (c + 2.0) * r_hat * max(math.log(k), 1.0) / p)
 
 
 @dataclass
@@ -152,17 +161,14 @@ def multiphase_embed(
 ) -> MultiphaseResult:
     """Realize k flip batches in sequence with a per-phase step cutoff.
 
-    The cutoff is 40(c+2) * r_hat * log(k) / p (log floored at 1 so the
-    k=1 case degenerates to a single adaptive embedding with a positive
-    budget); the advertised total budget is 12 k r_hat / p.
+    The cutoff is :func:`phase_cutoff`; the advertised total budget is
+    12 k r_hat / p.
     """
     k = len(script.phases)
     r_hat = script.r_hat
     if k == 0:
         return MultiphaseResult(True, [], 0, 0.0, True)
-    if p <= 0:
-        raise InfeasibleTaskError("multiphase embedding requires p > 0")
-    cutoff = math.ceil(40.0 * (c + 2.0) * r_hat * max(math.log(k), 1.0) / p)
+    cutoff = phase_cutoff(k, r_hat, p, c)
     budget = 12.0 * k * r_hat / p
     per_phase: List[int] = []
     success = True
@@ -301,7 +307,7 @@ def scripted_phase_driver(
     region_set = frozenset(pair(u, v) for u, v in region)
     k = max(len(script), 1)
     r_hat = max((len(flips) for flips, _ in script), default=1)
-    cutoff = math.ceil(40.0 * (c + 2.0) * max(r_hat, 1) * max(math.log(k), 1.0) / p)
+    cutoff = phase_cutoff(k, max(r_hat, 1), p, c)
     outcomes: List[PhaseOutcome] = []
     for flips, expected in script:
         task = EmbeddingTask(g.n, region_set, tuple(flips), p, cutoff)

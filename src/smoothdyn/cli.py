@@ -5,9 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from typing import List, Optional
 
 from .harness import (
+    MODELS,
+    PROBLEMS,
+    REDUCE_MODES,
     ExperimentConfig,
     MetricRow,
     cmd_bench,
@@ -31,34 +35,26 @@ def _emit(rows: List[MetricRow], out: Optional[str], elapsed_s: float, timings_o
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    """The flags every experiment command honours."""
     sub.add_argument("--config", help="JSON config file; flags override its fields")
     sub.add_argument("--seed", type=int, help="64-bit experiment seed")
     sub.add_argument("--out", help="CSV output path (default: stdout)")
-    sub.add_argument("--threads", type=int, help="worker processes for trials")
     sub.add_argument("--timings", dest="timings_out", help="separate wall-time CSV")
-    sub.add_argument("--problem")
-    sub.add_argument("--model", choices=["oblivious-flip", "oblivious-ar", "adaptive"])
     sub.add_argument("-n", type=int, dest="n")
-    sub.add_argument("-p", type=float, dest="p")
     sub.add_argument("-T", type=int, dest="T")
     sub.add_argument("--trials", type=int)
-    sub.add_argument("--query-every", type=int, dest="query_every")
+
+
+def _p_grid(text: str) -> List[float]:
+    return [float(x) for x in text.split(",")]
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     config = (
         ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     )
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "problem", "model", "n", "p", "T", "trials", "seed",
-            "query_every", "out", "threads", "timings_out", "mode",
-        )
-        if hasattr(args, key)
-    }
-    if getattr(args, "p_grid", None):
-        config.p_grid = [float(x) for x in args.p_grid.split(",")]
+    known = {f.name for f in fields(ExperimentConfig)}
+    overrides = {key: value for key, value in vars(args).items() if key in known}
     return config.override(**overrides).validate()
 
 
@@ -71,14 +67,23 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sim = subs.add_parser("simulate", help="drive a counter/decider against the oracle")
     _add_common(sim)
+    sim.add_argument("--problem", choices=PROBLEMS)
+    sim.add_argument("--model", choices=MODELS)
+    sim.add_argument("-p", type=float, dest="p")
+    sim.add_argument("--query-every", type=int, dest="query_every")
+    sim.add_argument("--threads", type=int, help="worker processes for trials")
+    sim.set_defaults(run=lambda config: (cmd_simulate(config), True))
 
     bench = subs.add_parser("bench", help="amortized update-cost profile over a p grid")
     _add_common(bench)
-    bench.add_argument("--p-grid", dest="p_grid", help="comma-separated p values")
+    bench.add_argument("--p-grid", type=_p_grid, help="comma-separated p values")
+    bench.set_defaults(run=lambda config: (cmd_bench(config), True))
 
     red = subs.add_parser("reduce", help="run a reduction experiment")
     _add_common(red)
-    red.add_argument("--mode", choices=["sol", "p3general", "omv-chain"], default=None)
+    red.add_argument("-p", type=float, dest="p")
+    red.add_argument("--mode", choices=list(REDUCE_MODES))
+    red.set_defaults(run=cmd_reduce)
 
     subs.add_parser("verify", help="run the pinned-seed invariant battery").add_argument(
         "--seed", type=int, default=0
@@ -101,14 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2  # unreachable; parser.error exits
 
     start = time.perf_counter()
-    if args.command == "simulate":
-        rows = cmd_simulate(config)
-        ok = True
-    elif args.command == "bench":
-        rows = cmd_bench(config)
-        ok = True
-    else:
-        rows, ok = cmd_reduce(config)
+    rows, ok = args.run(config)
     elapsed = time.perf_counter() - start
     _emit(rows, config.out, elapsed, config.timings_out)
     return 0 if ok else 1

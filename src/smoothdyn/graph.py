@@ -65,8 +65,13 @@ def index_pair(n: int, idx: int) -> Pair:
     return (u, v)
 
 
-def uniform_pair(n: int, rng: np.random.Generator) -> Pair:
-    """A uniform canonical pair from binom([n],2), no rejection."""
+def uniform_pair(
+    n: int, rng: np.random.Generator, allowed: Optional[Sequence[Pair]] = None
+) -> Pair:
+    """A uniform pair from ``allowed``, else from binom([n],2), by one
+    ``rng.integers`` draw (no rejection) indexing ``allowed`` or pair_index order."""
+    if allowed is not None:
+        return allowed[int(rng.integers(len(allowed)))]
     return index_pair(n, int(rng.integers(pair_count(n))))
 
 

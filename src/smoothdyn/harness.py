@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
-from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
+from typing import IO, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .counters import (
     TrivialDecider,
     TwoPathTable,
 )
-from .graph import DynamicGraph, Pair, pair, pair_count, random_graph
+from .graph import DynamicGraph, pair, pair_count, random_graph
 from .oracles import (
     bf_bipartite_matching,
     bf_connected,
@@ -56,17 +56,6 @@ from .smoothing import (
     run_sequence,
 )
 
-METRICS = (
-    "amortized_ns",
-    "expensive_frac",
-    "error_rate",
-    "steps_used",
-    "success",
-    "chi2_stat",
-    "mean_ops",
-    "queries",
-)
-
 
 @dataclass
 class ExperimentConfig:
@@ -91,6 +80,8 @@ class ExperimentConfig:
                 data = json.load(fp)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{exc.lineno}: invalid config JSON: {exc.msg}")
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config JSON must be an object of fields")
         known = {f.name for f in fields(cls)}
         for key in data:
             if key not in known:
@@ -104,13 +95,26 @@ class ExperimentConfig:
         return self
 
     def validate(self) -> "ExperimentConfig":
+        """Reject field types, names and ranges the commands cannot run."""
+        for name in ("n", "T", "trials", "seed", "query_every", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, low in (("T", 1), ("trials", 1), ("query_every", 0), ("threads", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if self.p_grid is not None and not (isinstance(self.p_grid, list) and self.p_grid):
+            raise ValueError(f"p-grid must be a nonempty list, got {self.p_grid!r}")
         for p in [self.p] + (self.p_grid or []):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"p={p} outside [0,1]")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.p_grid is not None and not self.p_grid:
-            raise ValueError("p-grid must be nonempty")
+            if not isinstance(p, Real) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"p={p!r} is not a number in [0,1]")
+        for name in ("out", "timings_out"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
+        for name, known in (("problem", PROBLEMS), ("model", MODELS), ("mode", REDUCE_MODES)):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value in known):
+                raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(known)}")
         return self
 
 
@@ -148,10 +152,12 @@ def write_metrics(rows: Sequence[MetricRow], fp: IO[str]) -> None:
         writer.writerow(row.as_list())
 
 
-_MODELS = {
-    "oblivious-flip": Model.OBLIVIOUS_FLIP,
-    "oblivious-ar": Model.OBLIVIOUS_AR,
-    "adaptive": Model.ADAPTIVE,
+MODELS = tuple(m.value for m in Model)
+
+_ADVERSARIES = {
+    Model.OBLIVIOUS_FLIP: UniformFlipAdversary,
+    Model.OBLIVIOUS_AR: UniformAddRemoveAdversary,
+    Model.ADAPTIVE: UniformAdaptiveAdversary,
 }
 
 
@@ -165,13 +171,8 @@ def make_model_source(
 ) -> SmoothedSource:
     adv_rng = rngmod.adversary_stream(seed, trial)
     smooth_rng = rngmod.smoothing_stream(seed, trial)
-    model = _MODELS[model_name]
-    if model is Model.OBLIVIOUS_FLIP:
-        adv = UniformFlipAdversary(n, adv_rng, restriction)
-    elif model is Model.OBLIVIOUS_AR:
-        adv = UniformAddRemoveAdversary(n, adv_rng, restriction)
-    else:
-        adv = UniformAdaptiveAdversary(n, adv_rng, restriction)
+    model = Model(model_name)
+    adv = _ADVERSARIES[model](n, adv_rng, restriction)
     return SmoothedSource(model, params, adv, n, rng=smooth_rng)
 
 
@@ -206,6 +207,36 @@ def _counter_query(problem: str, counter) -> object:
     return counter.query()
 
 
+def _connectivity(config: ExperimentConfig, init_rng, hybrid: bool = False):
+    g = random_graph(config.n, init_rng)
+    if hybrid:
+        exact = config.T // 2
+        decider = HybridDecider("connectivity", config.p, g, bf_connected, rounds_exact=exact)
+    else:
+        decider = TrivialDecider("connectivity")
+    return g, decider, bf_connected, None
+
+
+def _perfect_matching(config: ExperimentConfig, init_rng):
+    side = config.n // 2
+    left = list(range(side))
+    right = list(range(side, 2 * side))
+    restriction = tuple(pair(u, v) for u in left for v in right)
+    g = random_graph(2 * side, init_rng, restriction=restriction)
+    oracle = lambda g: bf_bipartite_matching(g, left, right)[1]
+    return g, TrivialDecider("perfect-matching"), oracle, restriction
+
+
+# problem -> setup(config, init_rng) -> (graph, decider, oracle, restriction)
+_DECIDERS: Dict[str, Callable] = {
+    "connectivity-trivial": _connectivity,
+    "perfect-matching-trivial": _perfect_matching,
+    "connectivity-hybrid": lambda config, rng: _connectivity(config, rng, hybrid=True),
+}
+
+PROBLEMS = (*_COUNTER_SPECS, *_DECIDERS)
+
+
 def simulate_trial(config: ExperimentConfig, trial: int) -> List[MetricRow]:
     """One seeded trial of cmd_simulate; returns metric rows."""
     n, p, T = config.n, config.p, config.T
@@ -219,71 +250,34 @@ def simulate_trial(config: ExperimentConfig, trial: int) -> List[MetricRow]:
     if problem in _COUNTER_SPECS:
         make_counter, oracle = _COUNTER_SPECS[problem]
         g = random_graph(n, init_rng)
-        counter = make_counter(g)
-        source = make_model_source(model, SmoothingParams(p), n, config.seed, trial)
-        errors = queries = 0
-        for start in range(0, T, query_every):
-            run_sequence(g, source, min(query_every, T - start), observers=[counter])
-            queries += 1
-            if _counter_query(problem, counter) != oracle(g):
-                errors += 1
-        return [
-            row("error_rate", errors / queries),
-            row("mean_ops", counter.ops / T),
-            row("queries", queries),
-        ]
-
-    if problem in ("connectivity-trivial", "perfect-matching-trivial", "connectivity-hybrid"):
-        if problem == "perfect-matching-trivial":
-            side = n // 2
-            left = list(range(side))
-            right = list(range(side, 2 * side))
-            restriction = tuple(pair(u, v) for u in left for v in right)
-            g = random_graph(2 * side, init_rng, restriction=restriction)
-            decider = TrivialDecider("perfect-matching")
-            oracle = lambda g: bf_bipartite_matching(g, left, right)[1]
-            params = SmoothingParams(p, restriction=restriction)
-            source = make_model_source(model, params, 2 * side, config.seed, trial, restriction)
-            expected = True
-        else:
-            g = random_graph(n, init_rng)
-            oracle = bf_connected
-            params = SmoothingParams(p)
-            source = make_model_source(model, params, n, config.seed, trial)
-            if problem == "connectivity-hybrid":
-                decider = HybridDecider(
-                    "connectivity", p, g, bf_connected, rounds_exact=T // 2
-                )
-            else:
-                decider = TrivialDecider("connectivity")
-            expected = None  # compare decider vs oracle directly
-        errors = queries = 0
-        for start in range(0, T, query_every):
-            run_sequence(g, source, min(query_every, T - start), observers=[decider])
-            queries += 1
-            if decider.query() != oracle(g):
-                errors += 1
-        return [row("error_rate", errors / queries), row("queries", queries)]
-
-    raise ValueError(f"unknown simulate problem {config.problem!r}")
-
-
-def _simulate_star(args: Tuple[ExperimentConfig, int]) -> List[MetricRow]:
-    return simulate_trial(*args)
+        algorithm, restriction = make_counter(g), None
+    elif problem in _DECIDERS:
+        g, algorithm, oracle, restriction = _DECIDERS[problem](config, init_rng)
+    else:
+        raise ValueError(f"unknown simulate problem {problem!r}")
+    params = SmoothingParams(p, restriction=restriction)
+    source = make_model_source(model, params, g.n, config.seed, trial, restriction)
+    errors = queries = 0
+    for start in range(0, T, query_every):
+        run_sequence(g, source, min(query_every, T - start), observers=[algorithm])
+        queries += 1
+        if _counter_query(problem, algorithm) != oracle(g):
+            errors += 1
+    rows = [row("error_rate", errors / queries), row("queries", queries)]
+    if problem in _COUNTER_SPECS:
+        rows.insert(1, row("mean_ops", algorithm.ops / T))
+    return rows
 
 
 def cmd_simulate(config: ExperimentConfig) -> List[MetricRow]:
     config.validate()
-    jobs = [(config, trial) for trial in range(config.trials)]
+    trials = range(config.trials)
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(_simulate_star, jobs))
+            results = list(pool.map(simulate_trial, [config] * config.trials, trials))
     else:
-        results = [simulate_trial(*job) for job in jobs]
-    rows: List[MetricRow] = []
-    for per_trial in results:  # already ordered by trial index
-        rows.extend(per_trial)
-    return rows
+        results = [simulate_trial(config, trial) for trial in trials]
+    return [row for per_trial in results for row in per_trial]  # ordered by trial index
 
 
 def expensive_frac_prediction(p: float, n: int) -> float:
@@ -304,15 +298,9 @@ def bench_point(
         n,
         rng=rngmod.smoothing_stream(seed, trial),
     )
-    expensive = 0
     ops_before = counter.ops
-    for _ in range(T):
-        ev = source.next_change(g)
-        e = ev.edge
-        if 0 in e or 1 in e:  # touches s or t
-            expensive += 1
-        counter.update(e, not g.has_pair(e))
-        g.flip(*e)
+    log = run_sequence(g, source, T, [counter])
+    expensive = sum(1 for ev in log if 0 in ev.edge or 1 in ev.edge)  # touches s or t
     return expensive / T, (counter.ops - ops_before) / T
 
 
@@ -332,57 +320,58 @@ def cmd_bench(config: ExperimentConfig) -> List[MetricRow]:
     return rows
 
 
-def cmd_reduce(config: ExperimentConfig) -> Tuple[List[MetricRow], bool]:
-    config.validate()
-    rows: List[MetricRow] = []
-    ok = True
-    if config.mode == "sol":
-        for trial in range(config.trials):
-            rng = rngmod.trial_stream(config.seed, trial)
-            inst = random_oumv_instance(config.n, rng)
-            outcome = sol_solve(inst, config.p, exact_st3_counter_factory, rng)
-            rows.append(
-                MetricRow(
-                    trial, config.p, config.n, len(outcome.answers), "sol-exact",
-                    "reduction", "error_rate", outcome.errors / len(outcome.answers),
-                )
-            )
-            ok = ok and outcome.errors == 0
-    elif config.mode == "p3general":
-        for trial in range(config.trials):
-            rng = rngmod.trial_stream(config.seed, trial)
-            run = run_p3_to_general(config.n, config.p, config.T, max(1, config.T // 20), rng)
-            mism = sum(1 for _, rec, orc in run.queries if rec != orc)
-            rows.append(
-                MetricRow(
-                    trial, config.p, config.n, config.T, "p3general", "reduction",
-                    "error_rate", mism / max(len(run.queries), 1),
-                )
-            )
-            ok = ok and mism == 0
-    elif config.mode == "omv-chain":
-        errors = 0
-        trials = config.trials
-        rng = rngmod.trial_stream(config.seed, 0)
-        for _ in range(trials):
-            n = config.n
-            M = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-            u = rng.integers(0, 2, size=n, dtype=np.uint8)
-            v = rng.integers(0, 2, size=n, dtype=np.uint8)
-            parity_via_split = lambda M_, u_, v_: worstcase_to_average_split(
-                M_, u_, v_, f2_oumv_oracle, rng
-            )
-            got = omv_parity_reduction(M, u, v, parity_via_split, 20, rng)
-            want = int(int_oumv_oracle(M, u, v) > 0)
-            errors += got != want
-        rows.append(
-            MetricRow(0, config.p, config.n, trials, "omv-chain", "reduction",
-                      "error_rate", errors / trials)
+def _reduce_sol(config: ExperimentConfig) -> Iterator[Tuple[int, int, int, int]]:
+    for trial in range(config.trials):
+        rng = rngmod.trial_stream(config.seed, trial)
+        inst = random_oumv_instance(config.n, rng)
+        outcome = sol_solve(inst, config.p, exact_st3_counter_factory, rng)
+        yield trial, len(outcome.answers), outcome.errors, len(outcome.answers)
+
+
+def _reduce_p3general(config: ExperimentConfig) -> Iterator[Tuple[int, int, int, int]]:
+    for trial in range(config.trials):
+        rng = rngmod.trial_stream(config.seed, trial)
+        run = run_p3_to_general(config.n, config.p, config.T, max(1, config.T // 20), rng)
+        mism = sum(1 for _, rec, orc in run.queries if rec != orc)
+        yield trial, config.T, mism, max(len(run.queries), 1)
+
+
+def _reduce_omv_chain(config: ExperimentConfig) -> Iterator[Tuple[int, int, int, int]]:
+    errors = 0
+    trials = config.trials
+    rng = rngmod.trial_stream(config.seed, 0)
+    for _ in range(trials):
+        n = config.n
+        M = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        u = rng.integers(0, 2, size=n, dtype=np.uint8)
+        v = rng.integers(0, 2, size=n, dtype=np.uint8)
+        parity_via_split = lambda M_, u_, v_: worstcase_to_average_split(
+            M_, u_, v_, f2_oumv_oracle, rng
         )
-        ok = errors == 0
-    else:
-        raise ValueError(f"unknown reduce mode {config.mode!r}")
-    return rows, ok
+        got = omv_parity_reduction(M, u, v, parity_via_split, 20, rng)
+        want = int(int_oumv_oracle(M, u, v) > 0)
+        errors += got != want
+    yield 0, trials, errors, trials
+
+
+# mode -> (CSV problem column, function yielding (trial, T, errors, checks) per row)
+REDUCE_MODES: Dict[str, Tuple[str, Callable]] = {
+    "sol": ("sol-exact", _reduce_sol),
+    "p3general": ("p3general", _reduce_p3general),
+    "omv-chain": ("omv-chain", _reduce_omv_chain),
+}
+
+
+def cmd_reduce(config: ExperimentConfig) -> Tuple[List[MetricRow], bool]:
+    """Rows of the reduce mode's error rates, and whether it made no error."""
+    config.validate()
+    problem, run_mode = REDUCE_MODES[config.mode]
+    results = list(run_mode(config))
+    rows = [
+        MetricRow(trial, config.p, config.n, T, problem, "reduction", "error_rate", errors / checks)
+        for trial, T, errors, checks in results
+    ]
+    return rows, all(errors == 0 for _, _, errors, _ in results)
 
 
 def cmd_verify(seed: int = 0) -> List[Tuple[str, bool, str]]:

@@ -7,11 +7,9 @@ and Monte-Carlo test in the suite.
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .graph import DynamicGraph
 
@@ -20,19 +18,6 @@ _ENUM_CAP = 64
 
 class OracleCapError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    problem: str
-    value: Union[int, bool]
-    elapsed_ns: int
-
-
-def report(problem: str, fn, *args) -> OracleReport:
-    start = time.perf_counter_ns()
-    value = fn(*args)
-    return OracleReport(problem, value, time.perf_counter_ns() - start)
 
 
 def _check_cap(g: DynamicGraph) -> None:

@@ -17,7 +17,7 @@ Contents:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
@@ -26,9 +26,9 @@ import numpy as np
 from scipy import stats
 
 from .counters import InvariantError, STPath3Counter
-from .graph import DynamicGraph, Pair, pair
+from .graph import DynamicGraph, Pair, pair, uniform_pair
 from .oracles import bf_st_paths
-from .smoothing import Model, SmoothedSource, SmoothingParams, UniformFlipAdversary
+from .smoothing import Model, SmoothedSource, SmoothingParams, UniformFlipAdversary, notify_and_flip
 
 
 # -- Poisson machinery ---------------------------------------------------
@@ -188,6 +188,10 @@ class ChangeDistribution:
         q_mid = (1 - p) / (n * (n + 2))
         return 2 * n * q_side + n * n * q_mid
 
+    def poisson_rates(self, t_param: int) -> Tuple[float, float]:
+        """(lam_side, lam_ab): rates of a side edge's parity batch and a copy's AB batch."""
+        return self.q_side * t_param, (1.0 - self.p) * self.n / (self.n + 2) * t_param / 2.0
+
     def sample_edge(self, layout: P3Layout, rng: np.random.Generator) -> Pair:
         n = self.n
         if rng.random() < self.p:
@@ -333,8 +337,7 @@ class ParityOuMvSolver:
         self.layout = P3Layout(self.n)
         self.t_param = rounds_parameter(self.n, p)
         self.dist = ChangeDistribution(p, self.n)
-        self.lam_side = self.dist.q_side * self.t_param
-        self.lam_ab = (1.0 - p) * self.n / (self.n + 2) * self.t_param / 2.0
+        self.lam_side, self.lam_ab = self.dist.poisson_rates(self.t_param)
         self.graphs = [self.layout.graph_of(M, u0, v0) for _ in range(3)]
         self.counters = [
             counter_factory(g, self.layout.s, self.layout.t) for g in self.graphs
@@ -346,11 +349,9 @@ class ParityOuMvSolver:
         return self.counters[0].query() % 2
 
     def _apply(self, j: int, seq: List[Pair]) -> None:
-        g, counter = self.graphs[j], self.counters[j]
+        g, observers = self.graphs[j], (self.counters[j],)
         for e in seq:
-            present = not g.has_pair(e)
-            counter.update(e, present)
-            g.flip(*e)
+            notify_and_flip(g, e, observers)
 
     def round(self, u: np.ndarray, v: np.ndarray) -> int:
         layout, rng, n = self.layout, self.rng, self.n
@@ -453,8 +454,7 @@ def dadvp_verify_histogram(
     if t_param is None:
         t_param = rounds_parameter(n, p)
     dist = ChangeDistribution(p, n)
-    lam_side = dist.q_side * t_param
-    lam_ab = (1.0 - p) * n / (n + 2) * t_param / 2.0
+    lam_side, lam_ab = dist.poisson_rates(t_param)
     p_side_total = 2 * n * dist.q_side
     p_mid_total = n * n * dist.q_mid
     probs = [p_side_total / 2.0, p_side_total / 2.0, p_mid_total]
@@ -593,7 +593,7 @@ class SixteenPack:
             self.interior.flip(*e)
             interior = True
         else:
-            e = self.exterior_all[int(rng.integers(len(self.exterior_all)))]
+            e = uniform_pair(self.layout.n_nodes, rng, self.exterior_all)
             if e == self.st_edge:
                 self.st_present = not self.st_present
             else:

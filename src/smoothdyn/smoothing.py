@@ -20,14 +20,14 @@ step index (replayable under different smoothing seeds).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import DynamicGraph, Pair, pair, pair_count, random_graph, uniform_pair
-from .rng import adversary_stream, smoothing_stream
+from .graph import DynamicGraph, Pair, pair, uniform_pair
+from .rng import smoothing_stream
 
 
 class Kind(Enum):
@@ -104,35 +104,26 @@ class SmoothedSource:
             raise ContractViolation(f"adversary proposed {e} out of range for n={self.n}")
         return e
 
-    def _uniform_edge(self) -> Pair:
-        if self._allowed is not None:
-            return self._allowed[int(self._rng.integers(len(self._allowed)))]
-        return uniform_pair(self.n, self._rng)
-
     def next_change(self, graph: Optional[DynamicGraph] = None) -> ChangeEvent:
         i = self._step
         self._step += 1
-        p = self.params.p
         if self.model is Model.ADAPTIVE:
             if graph is None:
                 raise ValueError("adaptive model requires the realized graph")
-            prop = self._check(self.adversary.propose(graph))
-            if self._rng.random() < p:
-                return ChangeEvent(prop, Kind.FLIP, Provenance.ADVERSARIAL)
-            return ChangeEvent(self._uniform_edge(), Kind.FLIP, Provenance.RANDOM)
-        if self.model is Model.OBLIVIOUS_FLIP:
-            prop = self._check(self.adversary.propose(i))
-            if self._rng.random() < p:
-                return ChangeEvent(prop, Kind.FLIP, Provenance.ADVERSARIAL)
-            return ChangeEvent(self._uniform_edge(), Kind.FLIP, Provenance.RANDOM)
-        # oblivious add/remove: the random replacement is always a flip
-        prop, kind = self.adversary.propose(i)
-        prop = self._check(prop)
-        if kind not in (Kind.ADD, Kind.REMOVE):
-            raise ContractViolation(f"add/remove adversary proposed kind {kind}")
-        if self._rng.random() < p:
+            prop, kind = self._check(self.adversary.propose(graph)), Kind.FLIP
+        elif self.model is Model.OBLIVIOUS_FLIP:
+            prop, kind = self._check(self.adversary.propose(i)), Kind.FLIP
+        else:
+            prop, kind = self.adversary.propose(i)
+            prop = self._check(prop)
+            if kind not in (Kind.ADD, Kind.REMOVE):
+                raise ContractViolation(f"add/remove adversary proposed kind {kind}")
+        if self._rng.random() < self.params.p:
             return ChangeEvent(prop, kind, Provenance.ADVERSARIAL)
-        return ChangeEvent(self._uniform_edge(), Kind.FLIP, Provenance.RANDOM)
+        # the random replacement is always a flip, in every model
+        return ChangeEvent(
+            uniform_pair(self.n, self._rng, self._allowed), Kind.FLIP, Provenance.RANDOM
+        )
 
 
 def smooth_initial(
@@ -186,6 +177,17 @@ def apply_event(g: DynamicGraph, ev: ChangeEvent) -> Tuple[bool, bool]:
     return present, False  # REMOVE
 
 
+def notify_and_flip(g: DynamicGraph, e: Pair, observers: Iterable) -> bool:
+    """Call every observer's ``update(e, now_present)`` while ``g`` still
+    holds the pre-flip state (the counters' ordering contract), then flip
+    ``e`` in ``g``; returns ``now_present``."""
+    now_present = not g.has_pair(e)
+    for obs in observers:
+        obs.update(e, now_present)
+    g.flip(*e)
+    return now_present
+
+
 def run_sequence(
     g: DynamicGraph,
     source: SmoothedSource,
@@ -194,20 +196,20 @@ def run_sequence(
 ) -> List[ChangeEvent]:
     """Drive T steps, applying realized events and notifying observers.
 
-    Observers see ``update(edge, now_present)`` for effective changes only
-    (invoked before the flip lands on the shared graph, per the counters'
-    ordering contract) and, if they define it, ``null_step()`` for
-    ineffective add/remove events.  Provenance is never passed on.
+    :func:`apply_event` classifies each event; an effective one goes
+    through :func:`notify_and_flip`, the one place that implements the
+    counters' ordering contract (``update(edge, now_present)`` before the
+    flip lands on the shared graph).  Observers that define ``null_step()``
+    get it for each ineffective add/remove event.  Provenance is never
+    passed on.
     """
     observers = list(observers)
     log: List[ChangeEvent] = []
     for _ in range(T):
         ev = source.next_change(g)
-        effective, present = apply_event(g, ev)
+        effective, _ = apply_event(g, ev)
         if effective:
-            for obs in observers:
-                obs.update(ev.edge, present)
-            g.flip(*ev.edge)
+            notify_and_flip(g, ev.edge, observers)
         else:
             for obs in observers:
                 null = getattr(obs, "null_step", None)
@@ -262,23 +264,18 @@ class UniformFlipAdversary:
         self._rng = rng
         self._allowed = [pair(u, v) for u, v in restriction] if restriction else None
 
-    def _draw(self) -> Pair:
-        if self._allowed is not None:
-            return self._allowed[int(self._rng.integers(len(self._allowed)))]
-        return uniform_pair(self.n, self._rng)
-
     def propose(self, step: int) -> Pair:
-        return self._draw()
+        return uniform_pair(self.n, self._rng, self._allowed)
 
 
 class UniformAdaptiveAdversary(UniformFlipAdversary):
-    def propose(self, graph: DynamicGraph) -> Pair:  # type: ignore[override]
-        return self._draw()
+    """Adaptive handle with the uniform strategy: ``propose(graph)`` ignores
+    the graph exactly as the oblivious one ignores the step."""
 
 
 class UniformAddRemoveAdversary(UniformFlipAdversary):
     def propose(self, step: int) -> Tuple[Pair, Kind]:  # type: ignore[override]
-        e = self._draw()
+        e = uniform_pair(self.n, self._rng, self._allowed)
         kind = Kind.ADD if self._rng.random() < 0.5 else Kind.REMOVE
         return e, kind
 

@@ -209,3 +209,5 @@ def test_scripted_driver_forces_disconnection():
 
     unrealized = PhaseOutcome(False, "False", None)
     assert unrealized.agrees is None
+    with pytest.raises(InfeasibleTaskError):
+        scripted_phase_driver(g, region, script, 0.0, rng, bf_connected)

@@ -1,0 +1,216 @@
+"""Golden digests: seeded outputs pinned byte for byte.
+
+Each digest is the first 16 hex digits of the sha256 of a run's output:
+the CSV of ``write_metrics`` for the three experiment commands, and the
+``repr`` of plain-int result tuples for the code paths whose CSV shows
+only an error rate (counter queries of the OuMv solver, the histogram
+check's edge-type counts, embedding results and final graphs, the
+sixteen-graph queries).  A seed must keep
+its meaning: if one of these moves, the RNG stream changed, and that is
+a deliberate, versioned decision, never a side effect of a refactor.
+"""
+
+import hashlib
+import io
+from itertools import islice
+
+import pytest
+
+from smoothdyn.adversaries import (
+    EmbeddingTask,
+    PhaseScript,
+    multiphase_embed,
+    run_adaptive_embed,
+    run_oblivious_ar_embed,
+    scripted_phase_driver,
+)
+from smoothdyn.graph import all_pairs, random_graph
+from smoothdyn.harness import (
+    MODELS,
+    PROBLEMS,
+    ExperimentConfig,
+    cmd_bench,
+    cmd_reduce,
+    cmd_simulate,
+    write_metrics,
+)
+from smoothdyn.reduction import (
+    ParityOuMvSolver,
+    dadvp_verify_histogram,
+    random_oumv_instance,
+    run_p3_to_general,
+    sol_solve,
+    st3_counter_factory,
+)
+from smoothdyn.rng import trial_stream
+
+SEED = 5
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    write_metrics(rows, buf)
+    return buf.getvalue()
+
+
+def _edges(g) -> tuple:
+    return tuple(sorted(g.edges()))
+
+
+# -- the experiment commands -----------------------------------------------
+
+SIMULATE_DIGESTS = {
+    ("st2", "oblivious-flip"): "c68f9bf34f483f6f",
+    ("st2", "oblivious-ar"): "63d92483c596a17c",
+    ("st2", "adaptive"): "8cde7e924afb38a8",
+    ("st3", "oblivious-flip"): "cc494a6fb41dea98",
+    ("st3", "oblivious-ar"): "cc60085d0873779b",
+    ("st3", "adaptive"): "c6ab8120b55d2662",
+    ("st4", "oblivious-flip"): "df8f58a2de1ffab0",
+    ("st4", "oblivious-ar"): "c700da4404a78105",
+    ("st4", "adaptive"): "ca347b34f091b1b3",
+    ("s-triangle", "oblivious-flip"): "39eedbe94074eeb9",
+    ("s-triangle", "oblivious-ar"): "83b16f6d78402bec",
+    ("s-triangle", "adaptive"): "24c55273d9ab8fd3",
+    ("s-4-cycle", "oblivious-flip"): "56d34dd94a8f33a3",
+    ("s-4-cycle", "oblivious-ar"): "520a9299a090baa3",
+    ("s-4-cycle", "adaptive"): "20b6727a1e6ecd75",
+    ("connectivity-trivial", "oblivious-flip"): "2d92de388c4c0c7f",
+    ("connectivity-trivial", "oblivious-ar"): "f9454a7b9aacadee",
+    ("connectivity-trivial", "adaptive"): "0bd08cce1f43e450",
+    ("perfect-matching-trivial", "oblivious-flip"): "f996efe6d37e4691",
+    ("perfect-matching-trivial", "oblivious-ar"): "6be03f9dec49dbf7",
+    ("perfect-matching-trivial", "adaptive"): "4169fc4a9c9cd111",
+    ("connectivity-hybrid", "oblivious-flip"): "17514ac47ce3f8d6",
+    ("connectivity-hybrid", "oblivious-ar"): "22fc525e25bfe468",
+    ("connectivity-hybrid", "adaptive"): "e3ba190c92ea9b2d",
+}
+
+
+def simulate_output(problem: str, model: str) -> str:
+    cfg = ExperimentConfig(
+        problem=problem, model=model, n=12, p=0.3, T=300, trials=2, seed=SEED
+    )
+    return _csv(cmd_simulate(cfg))
+
+
+def test_simulate_digests_cover_every_problem_and_model():
+    assert set(SIMULATE_DIGESTS) == {(p, m) for p in PROBLEMS for m in MODELS}
+
+
+@pytest.mark.parametrize("problem,model", list(SIMULATE_DIGESTS))
+def test_simulate_digest(problem, model):
+    assert _digest(simulate_output(problem, model)) == SIMULATE_DIGESTS[problem, model]
+
+
+def bench_output() -> str:
+    cfg = ExperimentConfig(n=40, T=500, trials=2, seed=SEED, p_grid=[0.0, 0.3, 1.0])
+    return _csv(cmd_bench(cfg))
+
+
+def reduce_output(mode: str, **kwargs) -> str:
+    rows, ok = cmd_reduce(ExperimentConfig(mode=mode, seed=SEED, **kwargs))
+    return _csv(rows) + repr(ok)
+
+
+# -- the code paths behind them ------------------------------------------
+
+
+def solver_output() -> str:
+    """Every round's answer and the three st3 counters' queries."""
+    rng = trial_stream(SEED, 0)
+    inst = random_oumv_instance(6, rng)
+    u0, v0 = inst.rounds[0]
+    solver = ParityOuMvSolver(inst.M, u0, v0, 0.5, st3_counter_factory, rng)
+    out = [(solver.initial_answer(),) + tuple(c.query() for c in solver.counters)]
+    for u, v in inst.rounds[1:]:
+        answer = solver.round(u, v)
+        out.append((answer,) + tuple(c.query() for c in solver.counters))
+    rng = trial_stream(SEED, 1)
+    outcome = sol_solve(random_oumv_instance(5, rng), 0.3, st3_counter_factory, rng)
+    return repr((out, outcome.answers, outcome.oracle_answers))
+
+
+def histogram_output() -> str:
+    """Edge-type counts of genuine and synthesized reduction sequences."""
+    fit = dadvp_verify_histogram(0.5, 4, 60, trial_stream(SEED, 0))
+    return repr(fit.type_counts.tolist())
+
+
+def _region(n: int, size: int) -> frozenset:
+    return frozenset(islice(all_pairs(n), size))
+
+
+def adaptive_embed_output() -> str:
+    """Result tuples and final graphs of the adaptive, multiphase and
+    scripted embeddings."""
+    n = 40
+    region = _region(n, 40)
+    flips = tuple(sorted(region)[:6])
+    out = []
+    for trial in range(4):
+        rng = trial_stream(SEED, trial)
+        g = random_graph(n, rng)
+        res = run_adaptive_embed(g, EmbeddingTask(n, region, flips, 0.5, 100), rng)
+        out.append((res.success, res.steps_used, res.random_hits_on_region, _edges(g)))
+    rng = trial_stream(SEED, 10)
+    g = random_graph(n, rng)
+    ordered = sorted(region)
+    script = PhaseScript(region, tuple(tuple(ordered[i : i + 3]) for i in (0, 3, 6)))
+    res = multiphase_embed(g, script, 0.5, rng)
+    out.append((res.success, res.per_phase_steps, res.total_steps, res.budget, _edges(g)))
+    phases = [(ordered[i : i + 2], f"phase{i}") for i in (0, 2, 4)]
+    outcomes = scripted_phase_driver(g, ordered, phases, 0.5, rng, lambda h: h.edge_count())
+    out.append([(o.realized, o.expected, o.observed) for o in outcomes])
+    out.append(_edges(g))
+    return repr(out)
+
+
+def oblivious_ar_embed_output() -> str:
+    n = 40
+    region = sorted(_region(n, 40))
+    out = []
+    for trial, (p, budget) in enumerate([(0.5, 60), (0.5, 60), (0.9, 30), (0.9, 30)]):
+        rng = trial_stream(SEED, trial)
+        res = run_oblivious_ar_embed(n, region, region[:5], p, budget, rng)
+        out.append((res.success, res.steps_used, res.random_hits_on_region))
+    return repr(out)
+
+
+def p3_to_general_output() -> str:
+    run = run_p3_to_general(3, 0.5, 300, 20, trial_stream(SEED, 0))
+    return repr((run.queries, run.aborted, run.interior_steps, run.total_steps))
+
+
+OUTPUTS = {
+    "bench": bench_output,
+    "reduce-sol": lambda: reduce_output("sol", n=4, p=0.5, trials=3),
+    "reduce-p3general": lambda: reduce_output("p3general", n=4, p=0.5, T=200, trials=2),
+    "reduce-omv-chain": lambda: reduce_output("omv-chain", n=4, trials=10),
+    "sol-solver-st3": solver_output,
+    "dadvp-histogram": histogram_output,
+    "adaptive-embed": adaptive_embed_output,
+    "oblivious-ar-embed": oblivious_ar_embed_output,
+    "p3-to-general": p3_to_general_output,
+}
+
+DIGESTS = {
+    "bench": "bdfc8f2e6897e8d8",
+    "reduce-sol": "c9b4d7030056c34a",
+    "reduce-p3general": "8a8eed373b5bc96d",
+    "reduce-omv-chain": "729caec3b199d93f",
+    "sol-solver-st3": "0989b82c85dd02c9",
+    "dadvp-histogram": "61b244ef27fc587c",
+    "adaptive-embed": "3c8c8d580de3b7b0",
+    "oblivious-ar-embed": "865f988aef2cd4d0",
+    "p3-to-general": "849534be82e062f5",
+}
+
+
+@pytest.mark.parametrize("name", list(OUTPUTS))
+def test_output_digest(name):
+    assert _digest(OUTPUTS[name]()) == DIGESTS[name]

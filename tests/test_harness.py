@@ -41,6 +41,44 @@ def test_config_from_file_and_validation(tmp_path):
         ExperimentConfig(p_grid=[]).validate()
 
 
+BAD_CONFIGS = [
+    {"problem": "bogus"},
+    {"problem": ["st3"]},
+    {"model": "bogus"},
+    {"mode": "bogus"},
+    {"T": -1},
+    {"T": 0},
+    {"query_every": -1},
+    {"threads": 0},
+    {"n": "10"},
+    {"n": 10.0},
+    {"trials": True},
+    {"seed": None},
+    {"p": "0.5"},
+    {"p_grid": [0.5, "1"]},
+    {"p_grid": 0.5},
+    {"out": 3},
+]
+
+
+@pytest.mark.parametrize("fields", BAD_CONFIGS, ids=lambda f: repr(f))
+def test_config_rejects_bad_fields(fields, tmp_path, capsys):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**fields).validate()
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(fields))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg)])
+    assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+
+
+def test_config_rejects_non_object_json(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="object"):
+        ExperimentConfig.from_file(str(path))
+
+
 def test_config_override_skips_none():
     cfg = ExperimentConfig().override(n=30, p=None)
     assert cfg.n == 30 and cfg.p == 0.5
@@ -180,3 +218,27 @@ def test_cli_bad_config_errors(tmp_path):
     cfg.write_text(json.dumps({"p": 2.0}))
     with pytest.raises(SystemExit):
         main(["simulate", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--problem", "st4"],
+        ["bench", "--model", "adaptive"],
+        ["bench", "-p", "0.9"],
+        ["bench", "--query-every", "5"],
+        ["bench", "--threads", "4"],
+        ["reduce", "--problem", "st4"],
+        ["reduce", "--model", "adaptive"],
+        ["reduce", "--query-every", "5"],
+        ["reduce", "--threads", "4"],
+        ["simulate", "--problem", "bogus"],
+        ["simulate", "--model", "bogus"],
+        ["reduce", "--mode", "bogus"],
+    ],
+    ids=" ".join,
+)
+def test_cli_rejects_flags_the_command_does_not_honour(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "error:" in capsys.readouterr().err

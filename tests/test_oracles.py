@@ -10,7 +10,6 @@ from smoothdyn.oracles import (
     bf_s_cycles,
     bf_st_paths,
     bf_two_paths,
-    report,
 )
 
 
@@ -126,8 +125,3 @@ def test_koenig_duality_desk_scale():
 def test_enumeration_cap():
     with pytest.raises(OracleCapError):
         bf_st_paths(DynamicGraph(65), 0, 1, 3)
-
-
-def test_report_wrapper():
-    rep = report("st3", bf_st_paths, k4(), 0, 1, 3)
-    assert rep.problem == "st3" and rep.value == 2 and rep.elapsed_ns >= 0

@@ -128,6 +128,15 @@ def test_change_distribution_sampling():
     assert abs(counts["AB"] / draws - n * n * dist.q_mid) < 0.01
 
 
+@pytest.mark.parametrize("p", [0.0, 1 / 3, 0.9])
+@pytest.mark.parametrize("n", [2, 16])
+def test_poisson_rates_match_the_solver_formulas_bit_for_bit(p, n):
+    # reference expressions, in the operation order the floats depend on
+    t = rounds_parameter(n, max(p, 0.05))
+    dist = ChangeDistribution(p, n)
+    assert dist.poisson_rates(t) == (dist.q_side * t, (1.0 - p) * n / (n + 2) * t / 2.0)
+
+
 def test_rounds_parameter():
     assert rounds_parameter(8, 0.5) == math.ceil(5 * 8 * math.log(8) / 0.5)
     with pytest.raises(ValueError):
