@@ -157,7 +157,6 @@ def multiphase_embed(
     rng: np.random.Generator,
     c: float = 1.0,
     check_feasible: bool = True,
-    on_phase_done=None,
 ) -> MultiphaseResult:
     """Realize k flip batches in sequence with a per-phase step cutoff.
 
@@ -179,8 +178,6 @@ def multiphase_embed(
         if not result.success:
             success = False
             break
-        if on_phase_done is not None:
-            on_phase_done(g)
     total = sum(per_phase)
     return MultiphaseResult(success, per_phase, total, budget, success and total <= budget)
 

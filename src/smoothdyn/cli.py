@@ -55,7 +55,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     )
     known = {f.name for f in fields(ExperimentConfig)}
     overrides = {key: value for key, value in vars(args).items() if key in known}
-    return config.override(**overrides).validate()
+    config = config.override(**overrides).validate()
+    if args.command == "bench" and config.p_grid is None:
+        raise ValueError("bench requires --p-grid or a p_grid in the config")
+    return config
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -100,7 +100,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name, low in (("T", 1), ("trials", 1), ("query_every", 0), ("threads", 1)):
+        for name, low in (("n", 2), ("T", 1), ("trials", 1), ("query_every", 0), ("threads", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.p_grid is not None and not (isinstance(self.p_grid, list) and self.p_grid):
@@ -409,7 +409,7 @@ def cmd_verify(seed: int = 0) -> List[Tuple[str, bool, str]]:
 
         for n in (2, 5, 8):
             for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
-                if ChangeDistribution.exact_normalization(p, n) != 1:
+                if ChangeDistribution(p, n).total_mass() != 1:
                     raise AssertionError("change distribution does not normalize")
                 alpha_of(float(p), n)
         rng = rngmod.stream(seed, 2)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import stats
 
 from .counters import InvariantError, STPath3Counter
-from .graph import DynamicGraph, Pair, pair, uniform_pair
+from .graph import DynamicGraph, Pair, pair, random_graph, uniform_pair
 from .oracles import bf_st_paths
 from .smoothing import Model, SmoothedSource, SmoothingParams, UniformFlipAdversary, notify_and_flip
 
@@ -127,17 +127,11 @@ class P3Layout:
         return out
 
     def classify(self, e: Pair) -> Optional[str]:
-        u, v = e
-        n = self.n
-        u_role = self._role(u)
-        v_role = self._role(v)
-        kinds = {u_role, v_role}
-        if kinds == {"s", "A"}:
-            return "sA"
-        if kinds == {"A", "B"}:
-            return "AB"
-        if kinds == {"B", "t"}:
-            return "Bt"
+        """The interior type "sA", "AB" or "Bt" of ``e``, else None."""
+        roles = {self._role(e[0]), self._role(e[1])}
+        for kind in ("sA", "AB", "Bt"):
+            if roles == set(kind):
+                return kind
         return None
 
     def _role(self, v: int) -> str:
@@ -164,6 +158,7 @@ class ChangeDistribution:
 
     Side (sA/Bt) edges each carry p/(2n) + (1-p)/(n(n+2)); middle (AB)
     edges carry (1-p)/(n(n+2)); the 2n side + n^2 middle masses sum to 1.
+    With p a Fraction every mass is exact.
     """
 
     p: float
@@ -179,14 +174,9 @@ class ChangeDistribution:
         n = self.n
         return (1 - self.p) / (n * (n + 2))
 
-    def normalization_defect(self) -> float:
-        return abs(2 * self.n * self.q_side + self.n * self.n * self.q_mid - 1.0)
-
-    @staticmethod
-    def exact_normalization(p: Fraction, n: int) -> Fraction:
-        q_side = p / (2 * n) + (1 - p) / (n * (n + 2))
-        q_mid = (1 - p) / (n * (n + 2))
-        return 2 * n * q_side + n * n * q_mid
+    def total_mass(self):
+        """2n q_side + n^2 q_mid, which is 1."""
+        return 2 * self.n * self.q_side + self.n * self.n * self.q_mid
 
     def poisson_rates(self, t_param: int) -> Tuple[float, float]:
         """(lam_side, lam_ab): rates of a side edge's parity batch and a copy's AB batch."""
@@ -260,16 +250,27 @@ def write_oumv_instance(inst: OuMvInstance, fp: IO[str]) -> None:
 
 
 def read_oumv_instance(fp: IO[str]) -> OuMvInstance:
-    n = int(fp.readline())
-    M = np.array(
-        [[int(ch) for ch in fp.readline().strip()] for _ in range(n)], dtype=np.uint8
-    )
-    rounds = []
-    for _ in range(n + 1):
-        ub, vb = fp.readline().split()
-        rounds.append(
-            (np.array([int(c) for c in ub], np.uint8), np.array([int(c) for c in vb], np.uint8))
-        )
+    """Parse the format of :func:`write_oumv_instance`: n, then n rows of M
+    and n+1 lines ``u v``, each a string of n binary digits.  Anything else
+    raises a ValueError that names its line."""
+    lines = fp.read().splitlines()
+    head = lines[0].split() if lines else []
+    if len(head) != 1 or not head[0].isdecimal() or int(head[0]) < 1:
+        raise ValueError(f"line 1: expected a positive integer n, got {' '.join(head)!r}")
+    n = int(head[0])
+
+    def bit_strings(i: int, count: int) -> List[List[int]]:
+        tokens = lines[i - 1].split() if i <= len(lines) else []
+        if len(tokens) != count or any(len(t) != n or set(t) - {"0", "1"} for t in tokens):
+            got = repr(lines[i - 1]) if i <= len(lines) else "end of input"
+            raise ValueError(f"line {i}: expected {count} string(s) of {n} binary digits, got {got}")
+        return [[int(c) for c in t] for t in tokens]
+
+    M = [bit_strings(i, 1)[0] for i in range(2, n + 2)]
+    rounds = [tuple(bit_strings(i, 2)) for i in range(n + 2, 2 * n + 3)]
+    for i in range(2 * n + 3, len(lines) + 1):
+        if lines[i - 1].strip():
+            raise ValueError(f"line {i}: content after the {n + 1} rounds")
     return OuMvInstance(n, M, rounds)
 
 
@@ -291,10 +292,6 @@ def int_oumv_oracle(M, u, v) -> int:
 # -- the three-copy solver (parity OuMv via st3 counting) ----------------
 
 
-def st3_counter_factory(g: DynamicGraph, s: int, t: int) -> STPath3Counter:
-    return STPath3Counter(g, s, t)
-
-
 class ExactST3Counter:
     """Oracle-backed stand-in with the counter interface."""
 
@@ -308,8 +305,9 @@ class ExactST3Counter:
         return bf_st_paths(self.g, self.s, self.t, 3)
 
 
-def exact_st3_counter_factory(g: DynamicGraph, s: int, t: int) -> ExactST3Counter:
-    return ExactST3Counter(g, s, t)
+# counter factories (g, s, t) -> counter, as ParityOuMvSolver takes them
+st3_counter_factory = STPath3Counter
+exact_st3_counter_factory = ExactST3Counter
 
 
 class ParityOuMvSolver:
@@ -493,12 +491,8 @@ def alpha_of(p, n: int):
     Fraction.
     """
     r = n * (n + 2)
-    total = (n + 1) * (2 * n + 1)
-    rbar = total - r
-    if isinstance(p, Fraction):
-        alpha = Fraction(r, 1) / (r + (1 - p) * rbar)
-    else:
-        alpha = r / (r + (1.0 - p) * rbar)
+    rbar = (n + 1) * (2 * n + 1) - r
+    alpha = r / (r + (1 - p) * rbar)
     if not (Fraction(1, 2) <= Fraction(alpha) <= 1):
         raise InvariantError(f"alpha={alpha} outside [1/2, 1]")
     return alpha, alpha * p
@@ -511,13 +505,16 @@ class SixteenPack:
     """Sixteen unrestricted graphs recovering a P3 instance's count.
 
     All sixteen graphs share the interior (sA/AB/Bt) edges and the (s,t)
-    bit; each of the four exterior edge types (sB, At, AA, BB) is split
-    into two random parts and every graph takes one part per type -- all
+    bit.  Each pair e of the four exterior types (sB, At, AA, BB) carries
+    one random part bit ``part[e]``, and graph i holds e of type l iff
+    ``part[e] == (i >> l) & 1``: every graph takes one part per type, all
     16 part combinations.  Every realized flip lands on all sixteen
-    graphs, which keeps the parts a proper partition; the interior 3-path
-    count is recovered as
+    graphs, and an exterior flip toggles the pair's part bit, which keeps
+    that rule true; the interior 3-path count is recovered as
 
         C = (sum_i C^i - 4 C_AB - 4(n-1) (C_sA + C_Bt)) / 16
+
+    with the interior type counts read off the interior graph.
     """
 
     def __init__(
@@ -529,12 +526,10 @@ class SixteenPack:
     ):
         n = layout.n
         self.layout = layout
-        self.p = p
         self.interior = interior.copy()
         for e in self.interior.edges():
             if layout.classify(e) is None:
                 raise ValueError(f"interior graph holds exterior edge {e}")
-        self.st_edge = pair(layout.s, layout.t)
         a_nodes = [layout.a(i) for i in range(n)]
         b_nodes = [layout.b(j) for j in range(n)]
         self.type_edges: Dict[str, List[Pair]] = {
@@ -543,112 +538,60 @@ class SixteenPack:
             "AA": [pair(x, y) for x, y in combinations(a_nodes, 2)],
             "BB": [pair(x, y) for x, y in combinations(b_nodes, 2)],
         }
-        self._type_of: Dict[Pair, str] = {
-            e: name for name, edges in self.type_edges.items() for e in edges
-        }
-        self.parts: Dict[str, Tuple[set, set]] = {}
-        for name, edges in self.type_edges.items():
-            coins = rng.random(len(edges)) < 0.5
-            part1 = {e for e, c in zip(edges, coins) if c}
-            part0 = set(edges) - part1
-            self.parts[name] = (part0, part1)
-        self.st_present = bool(rng.random() < 0.5)
-        alpha, p_prime = alpha_of(p, n)
-        self.alpha = float(alpha)
-        self.p_prime = float(p_prime)
-        self.exterior_all: List[Pair] = [self.st_edge]
+        self.part: Dict[Pair, int] = {}
         for edges in self.type_edges.values():
-            self.exterior_all.extend(edges)
-        # interior per-type edge counts
-        self.c_sa = self.c_ab = self.c_bt = 0
-        for e in self.interior.edges():
-            self._count_interior(e, +1)
+            coins = rng.random(len(edges)) < 0.5
+            self.part.update(zip(edges, coins.astype(int).tolist()))
+        st_edge = pair(layout.s, layout.t)
+        st_present = rng.random() < 0.5
+        self.alpha = float(alpha_of(p, n)[0])
+        # uniform_pair indexes this list: (s,t) first, then the types in order
+        self.exterior_all: List[Pair] = [st_edge, *self.part]
         self.graphs: List[DynamicGraph] = []
         for i in range(16):
             edges = set(self.interior.edges())
             for l, name in enumerate(EXTERIOR_TYPES):
-                edges |= self.parts[name][(i >> l) & 1]
-            if self.st_present:
-                edges.add(self.st_edge)
+                edges.update(e for e in self.type_edges[name] if self.part[e] == (i >> l) & 1)
+            if st_present:
+                edges.add(st_edge)
             self.graphs.append(DynamicGraph(layout.n_nodes, edges))
-
-    def _count_interior(self, e: Pair, delta: int) -> None:
-        kind = self.layout.classify(e)
-        if kind == "sA":
-            self.c_sa += delta
-        elif kind == "AB":
-            self.c_ab += delta
-        elif kind == "Bt":
-            self.c_bt += delta
 
     def step(self, next_interior: Callable[[], Pair], rng: np.random.Generator) -> Tuple[Pair, bool]:
         """One step: with probability alpha consume an interior change,
         else flip a uniform exterior pair; apply to all sixteen graphs."""
-        if rng.random() < self.alpha:
+        interior = rng.random() < self.alpha
+        if interior:
             e = next_interior()
             if self.layout.classify(e) is None:
                 raise ValueError(f"interior source produced exterior edge {e}")
-            delta = -1 if self.interior.has_pair(e) else +1
-            self._count_interior(e, delta)
             self.interior.flip(*e)
-            interior = True
         else:
             e = uniform_pair(self.layout.n_nodes, rng, self.exterior_all)
-            if e == self.st_edge:
-                self.st_present = not self.st_present
-            else:
-                kind = self._exterior_type(e)
-                p0, p1 = self.parts[kind]
-                p0.symmetric_difference_update({e})
-                p1.symmetric_difference_update({e})
-            interior = False
+            if e in self.part:  # every exterior pair but (s,t)
+                self.part[e] ^= 1
         for g in self.graphs:
             g.flip(*e)
         return e, interior
 
-    def _exterior_type(self, e: Pair) -> str:
-        try:
-            return self._type_of[e]
-        except KeyError:
-            raise ValueError(f"{e} is not an exterior edge") from None
-
     def recombine(self, counts: Sequence[int]) -> int:
         n = self.layout.n
-        numerator = (
-            sum(counts) - 4 * self.c_ab - 4 * (n - 1) * (self.c_sa + self.c_bt)
-        )
+        c_sa_bt = self.interior.degree(self.layout.s) + self.interior.degree(self.layout.t)
+        c_ab = self.interior.edge_count() - c_sa_bt
+        numerator = sum(counts) - 4 * c_ab - 4 * (n - 1) * c_sa_bt
         if numerator % 16 != 0:
-            raise InvariantError(
-                f"recombination numerator {numerator} not divisible by 16"
-            )
+            raise InvariantError(f"recombination numerator {numerator} not divisible by 16")
         return numerator // 16
 
     def query(self, count_fn: Callable[[DynamicGraph], int]) -> int:
         return self.recombine([count_fn(g) for g in self.graphs])
 
     def check_partition(self) -> None:
-        signatures = set()
+        """Every graph holds exactly the exterior pairs its part bits select."""
         for i, g in enumerate(self.graphs):
-            edge_set = g.edge_set()
-            sig = []
             for l, name in enumerate(EXTERIOR_TYPES):
-                p0, p1 = self.parts[name]
-                expected = p1 if (i >> l) & 1 else p0
-                got = edge_set & frozenset(self.type_edges[name])
-                if got != expected:
-                    raise InvariantError(
-                        f"graph {i} type {name}: partition part mismatch"
-                    )
-                sig.append(frozenset(expected))
-            signatures.add(tuple(sig))
-        if len(signatures) != 16:
-            raise InvariantError("the 16 part combinations are not distinct")
-        for name in EXTERIOR_TYPES:
-            p0, p1 = self.parts[name]
-            if p0 & p1:
-                raise InvariantError(f"type {name} parts overlap")
-            if (p0 | p1) != set(self.type_edges[name]):
-                raise InvariantError(f"type {name} parts do not cover the type")
+                bit = (i >> l) & 1
+                if any(g.has_pair(e) != (self.part[e] == bit) for e in self.type_edges[name]):
+                    raise InvariantError(f"graph {i} type {name}: partition part mismatch")
 
 
 @dataclass
@@ -665,7 +608,6 @@ def run_p3_to_general(
     total_steps: int,
     query_every: int,
     rng: np.random.Generator,
-    count_fn: Optional[Callable[[DynamicGraph], int]] = None,
     check_every_step: bool = False,
     interior_budget: Optional[int] = None,
     cap_factor: float = 3.0,
@@ -687,12 +629,9 @@ def run_p3_to_general(
     source = SmoothedSource(
         Model.OBLIVIOUS_FLIP, params, adversary, layout.n_nodes, rng=rng.spawn(1)[0]
     )
-    from .graph import random_graph
-
     interior0 = random_graph(layout.n_nodes, rng, restriction=restriction)
     pack = SixteenPack(layout, interior0, p, rng)
-    if count_fn is None:
-        count_fn = lambda g: bf_st_paths(g, layout.s, layout.t, 3)
+    count_fn = lambda g: bf_st_paths(g, layout.s, layout.t, 3)
     interior_steps = 0
     queries: List[Tuple[int, int, int]] = []
     aborted = False

@@ -34,7 +34,6 @@ class Kind(Enum):
     FLIP = "flip"
     ADD = "add"
     REMOVE = "remove"
-    NULL = "null"
 
 
 class Provenance(Enum):
@@ -50,7 +49,7 @@ class Model(Enum):
 
 @dataclass(frozen=True)
 class ChangeEvent:
-    edge: Optional[Pair]  # None only for Kind.NULL
+    edge: Pair
     kind: Kind
     provenance: Provenance  # diagnostic only; never shown to observers
 
@@ -166,10 +165,7 @@ def apply_event(g: DynamicGraph, ev: ChangeEvent) -> Tuple[bool, bool]:
     toggles the edge, and the edge's membership after application.  Does
     not mutate the graph.
     """
-    e = ev.edge
-    if ev.kind is Kind.NULL or e is None:
-        return False, False
-    present = g.has_pair(e)
+    present = g.has_pair(ev.edge)
     if ev.kind is Kind.FLIP:
         return True, not present
     if ev.kind is Kind.ADD:
@@ -223,8 +219,7 @@ def write_event_log(events: Iterable[ChangeEvent], fp: IO[str]) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["step", "kind", "u", "v", "provenance"])
     for i, ev in enumerate(events):
-        u, v = ev.edge if ev.edge is not None else ("", "")
-        writer.writerow([i, ev.kind.value, u, v, ev.provenance.value])
+        writer.writerow([i, ev.kind.value, *ev.edge, ev.provenance.value])
 
 
 class LazyFlipAdapter:

@@ -5,7 +5,7 @@ the CSV of ``write_metrics`` for the three experiment commands, and the
 ``repr`` of plain-int result tuples for the code paths whose CSV shows
 only an error rate (counter queries of the OuMv solver, the histogram
 check's edge-type counts, embedding results and final graphs, the
-sixteen-graph queries).  A seed must keep
+sixteen-graph queries and a sixteen-graph pack's full state).  A seed must keep
 its meaning: if one of these moves, the RNG stream changed, and that is
 a deliberate, versioned decision, never a side effect of a refactor.
 """
@@ -24,7 +24,7 @@ from smoothdyn.adversaries import (
     run_oblivious_ar_embed,
     scripted_phase_driver,
 )
-from smoothdyn.graph import all_pairs, random_graph
+from smoothdyn.graph import all_pairs, random_graph, uniform_pair
 from smoothdyn.harness import (
     MODELS,
     PROBLEMS,
@@ -34,8 +34,11 @@ from smoothdyn.harness import (
     cmd_simulate,
     write_metrics,
 )
+from smoothdyn.oracles import bf_st_paths
 from smoothdyn.reduction import (
+    P3Layout,
     ParityOuMvSolver,
+    SixteenPack,
     dadvp_verify_histogram,
     random_oumv_instance,
     run_p3_to_general,
@@ -186,6 +189,23 @@ def p3_to_general_output() -> str:
     return repr((run.queries, run.aborted, run.interior_steps, run.total_steps))
 
 
+def sixteen_pack_output() -> str:
+    """Step results, the sixteen graphs, the interior and the recovered
+    count of a pack driven directly by a seeded interior source."""
+    layout = P3Layout(4)
+    interior_pairs = layout.interior_edges()
+    rng = trial_stream(SEED, 0)
+    interior = random_graph(layout.n_nodes, rng, restriction=interior_pairs)
+    pack = SixteenPack(layout, interior, 0.5, rng)
+    source = trial_stream(SEED, 1)
+    steps = [
+        pack.step(lambda: uniform_pair(layout.n_nodes, source, interior_pairs), rng)
+        for _ in range(300)
+    ]
+    count = pack.query(lambda g: bf_st_paths(g, layout.s, layout.t, 3))
+    return repr((steps, [_edges(g) for g in pack.graphs], _edges(pack.interior), count))
+
+
 OUTPUTS = {
     "bench": bench_output,
     "reduce-sol": lambda: reduce_output("sol", n=4, p=0.5, trials=3),
@@ -196,6 +216,7 @@ OUTPUTS = {
     "adaptive-embed": adaptive_embed_output,
     "oblivious-ar-embed": oblivious_ar_embed_output,
     "p3-to-general": p3_to_general_output,
+    "sixteen-pack": sixteen_pack_output,
 }
 
 DIGESTS = {
@@ -208,6 +229,7 @@ DIGESTS = {
     "adaptive-embed": "3c8c8d580de3b7b0",
     "oblivious-ar-embed": "865f988aef2cd4d0",
     "p3-to-general": "849534be82e062f5",
+    "sixteen-pack": "2a3df97c1d413265",
 }
 
 

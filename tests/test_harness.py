@@ -46,6 +46,8 @@ BAD_CONFIGS = [
     {"problem": ["st3"]},
     {"model": "bogus"},
     {"mode": "bogus"},
+    {"n": 1},
+    {"n": 0},
     {"T": -1},
     {"T": 0},
     {"query_every": -1},
@@ -235,6 +237,12 @@ def test_cli_bad_config_errors(tmp_path):
         ["simulate", "--problem", "bogus"],
         ["simulate", "--model", "bogus"],
         ["reduce", "--mode", "bogus"],
+        ["bench", "-n", "20", "-T", "10"],  # no p-grid
+        ["simulate", "-n", "1", "-T", "10"],
+        ["bench", "-n", "1", "--p-grid", "0.5"],
+        ["reduce", "-n", "1"],
+        ["reduce", "--mode", "omv-chain", "-n", "1"],
+        ["reduce", "--mode", "p3general", "-n", "1"],
     ],
     ids=" ".join,
 )

@@ -110,13 +110,13 @@ def test_layout_graph_of_matches_oracle():
 @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_change_distribution_exact_normalization(p, n):
-    assert ChangeDistribution.exact_normalization(p, n) == 1
+    assert ChangeDistribution(p, n).total_mass() == 1
 
 
 def test_change_distribution_sampling():
     n, p = 4, 0.5
     dist = ChangeDistribution(p, n)
-    assert dist.normalization_defect() < 1e-12
+    assert abs(dist.total_mass() - 1.0) < 1e-12
     lay = P3Layout(n)
     rng = trial_stream(4, 0)
     counts = {"sA": 0, "Bt": 0, "AB": 0}
@@ -167,6 +167,43 @@ def test_oumv_instance_roundtrip():
     assert len(back.rounds) == len(inst.rounds)
     for (u1, v1), (u2, v2) in zip(back.rounds, inst.rounds):
         assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+    again = io.StringIO()
+    write_oumv_instance(read_oumv_instance(io.StringIO(buf.getvalue() + "\n \n")), again)
+    assert again.getvalue() == buf.getvalue()  # trailing blank lines are fine
+
+
+# a valid n = 2 instance, one line per entry
+OUMV_LINES = ["2", "10", "01", "10 01", "01 10", "11 00"]
+
+
+def _with_line(lineno, text):
+    lines = list(OUMV_LINES)
+    lines[lineno - 1] = text
+    return lines
+
+
+@pytest.mark.parametrize(
+    "lines,bad_line",
+    [
+        (_with_line(2, "12"), 2),  # non-binary character in M
+        (_with_line(5, "0a 10"), 5),  # non-binary character in u
+        (_with_line(3, "011"), 3),  # row too long
+        (_with_line(4, "10 1"), 4),  # vector too short
+        (_with_line(2, "10 1"), 2),  # extra token in a row
+        (_with_line(6, "11 00 1"), 6),  # extra token in a round
+        (_with_line(4, "10"), 4),  # missing vector
+        (OUMV_LINES[:-1], 6),  # missing round
+        (OUMV_LINES + ["00 00"], 7),  # content after the n+1 rounds
+        (_with_line(1, "x"), 1),
+        (_with_line(1, "0"), 1),
+        (_with_line(1, "2 2"), 1),
+        ([], 1),
+    ],
+)
+def test_read_oumv_instance_rejects_malformed(lines, bad_line):
+    text = "".join(line + "\n" for line in lines)
+    with pytest.raises(ValueError, match=f"^line {bad_line}:"):
+        read_oumv_instance(io.StringIO(text))
 
 
 # -- the three-copy solver -----------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph
+from smoothdyn.harness import MODELS, make_model_source
 from smoothdyn.rng import adversary_stream, smoothing_stream, stream
 from smoothdyn.smoothing import (
     ChangeEvent,
@@ -207,6 +208,28 @@ def test_run_sequence_mixing_density():
         run_sequence(g, source, 10000)
         densities.append(g.edge_count() / 45)
     assert abs(float(np.mean(densities)) - 0.5) < 0.05
+
+
+class _PreFlipProbe:
+    """Observer that checks the counters' ordering contract: ``update``
+    runs while the graph still holds the pre-flip state."""
+
+    def __init__(self, g):
+        self.g = g
+        self.updates = 0
+
+    def update(self, e, now_present):
+        assert self.g.has_pair(e) != now_present
+        self.updates += 1
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_observers_see_the_pre_flip_graph(model):
+    n = 12
+    g = random_graph(n, stream(7, 0))
+    probe = _PreFlipProbe(g)
+    log = run_sequence(g, make_model_source(model, SmoothingParams(0.5), n, 7, 0), 200, [probe])
+    assert 0 < probe.updates <= len(log)
 
 
 def test_event_log_determinism_and_format():
