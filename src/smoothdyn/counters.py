@@ -7,7 +7,9 @@ with ``edge is None`` are null steps and cost O(1).
 
 Counters expose ``ops``, a running count of elementary operations
 (edge-membership tests and counter-table writes) used by the harness's
-cost accounting.
+cost accounting.  ``ops`` is the paper's modelled cost and may exceed the
+work actually done: an s-edge update charges the n-node scan of the
+model while it walks only deg(v) neighbours.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ class TwoPathTable:
     their first edge are not counted (equivalently: the middle node is
     never t_excluded).  c[s] is 0 at all times.
 
-    Update cost: O(1) for an edge not incident to s; an (s,v) edge walks
-    all n nodes checking (v,u) membership.
+    Update cost: O(1) for an edge not incident to s.  An (s,v) edge
+    charges n ops, the modelled scan of every node for (v,u) membership,
+    and walks deg(v): only v's neighbours can change.
     """
 
     __slots__ = ("g", "s", "t_excluded", "c", "ops")
@@ -79,9 +82,12 @@ class TwoPathTable:
             v = b if a == s else a
             if v == t:
                 return  # the excluded edge never carries a counted 2-path
-            for u in range(g.n):
-                self.ops += 1
-                if u != s and u != v and g.has(v, u):
+            # charge the modelled scan of all n nodes, but walk only v's
+            # pre-flip neighbours (no self-loops, so u != v holds); the
+            # bumps are additive, so their order does not matter
+            self.ops += g.n
+            for u in g.neighbors(v):
+                if u != s:
                     self._bump(u, delta, on_change)
         else:
             # middle a, endpoint b -- needs (s,a) with a not excluded
@@ -324,10 +330,10 @@ class TrivialDecider:
 
 
 class HybridDecider:
-    """Exact oracle until round r_p, constant answer afterwards.
+    """Exact oracle for ``rounds_exact`` rounds, constant answer afterwards.
 
-    r_p defaults to n * binom(n,2) / (1-p); tests pass a scaled-down
-    ``rounds_exact`` since the full value is astronomically long.
+    The paper's switch round r_p = n * binom(n,2) / (1-p) is
+    astronomically long, so callers pass a scaled-down ``rounds_exact``.
     """
 
     def __init__(
@@ -336,14 +342,11 @@ class HybridDecider:
         p: float,
         g: DynamicGraph,
         oracle,
-        rounds_exact: Optional[int] = None,
+        rounds_exact: int,
         side_size: Optional[int] = None,
     ):
         if p >= 1.0:
             raise ValueError("hybrid decider requires p < 1")
-        n = g.n
-        if rounds_exact is None:
-            rounds_exact = int(n * (n * (n - 1) // 2) / (1.0 - p))
         self.rounds_exact = rounds_exact
         self.g = g
         self._oracle = oracle

@@ -134,6 +134,57 @@ def test_counters_track_oracles_under_random_flips(seed, n):
             assert two.query(u) == bf_two_paths(g, s, u, t)
 
 
+class ScanTwoPathTable(TwoPathTable):
+    """Reference: the (s,v) update as a full scan, one membership test
+    and one op per node, exactly the modelled cost."""
+
+    def update(self, e, now_present, on_change=None):
+        if e is None:
+            return
+        a, b = e
+        s, t, g = self.s, self.t_excluded, self.g
+        if a != s and b != s:
+            return super().update(e, now_present, on_change)
+        v = b if a == s else a
+        if v == t:
+            return
+        delta = 1 if now_present else -1
+        for u in range(g.n):
+            self.ops += 1
+            if u != s and u != v and g.has(v, u):
+                self._bump(u, delta, on_change)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_two_path_table_matches_the_full_scan(data):
+    n = data.draw(st.integers(5, 40), label="n")
+    s, t = 0, 1
+    excluded = data.draw(st.sampled_from([None, t]), label="t_excluded")
+    g = random_graph(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    fast, scan = TwoPathTable(g, s, excluded), ScanTwoPathTable(g, s, excluded)
+    for _ in range(data.draw(st.integers(1, 60), label="steps")):
+        kind = data.draw(st.sampled_from(["any", "s", "st", "s-near-t"]))
+        near_t = sorted(g.neighbors(t) - {s})
+        if kind == "st":
+            e = (s, t)
+        elif kind == "s-near-t" and near_t:
+            e = pair(s, data.draw(st.sampled_from(near_t)))
+        elif kind == "any":
+            nodes = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            e = pair(*data.draw(nodes))
+        else:
+            e = pair(s, data.draw(st.integers(1, n - 1)))
+        present = not g.has_pair(e)
+        calls = {"fast": [], "scan": []}
+        fast.update(e, present, on_change=lambda *c: calls["fast"].append(c))
+        scan.update(e, present, on_change=lambda *c: calls["scan"].append(c))
+        g.flip(*e)
+        assert sorted(calls["fast"]) == sorted(calls["scan"]), e
+        assert fast.c == scan.c, e
+        assert fast.ops == scan.ops, e
+
+
 def test_update_cost_profile():
     # an update at s costs Theta(n) membership checks; elsewhere O(1)
     n = 500
@@ -143,10 +194,13 @@ def test_update_cost_profile():
     table.update((2, 4), True)
     cheap = table.ops - base
     base = table.ops
-    table.update((0, 3), True)
+    writes = []
+    table.update((0, 3), True, on_change=lambda *call: writes.append(call))
     expensive = table.ops - base
     assert cheap <= 4
     assert expensive >= n - 2
+    # the modelled scan charges n ops up front, plus one per table write
+    assert expensive == n + len(writes)
 
 
 def test_worst_case_s_flips_stay_linear():
@@ -188,10 +242,4 @@ def test_hybrid_decider_phases():
     assert not decider.in_exact_phase
     assert decider.query() is True  # constant phase
     with pytest.raises(ValueError):
-        HybridDecider("connectivity", 1.0, g, bf_connected)
-
-
-def test_hybrid_decider_default_rounds():
-    g = DynamicGraph(10)
-    decider = HybridDecider("connectivity", 0.9, g, bf_connected)
-    assert decider.rounds_exact == int(10 * 45 / 0.1)
+        HybridDecider("connectivity", 1.0, g, bf_connected, rounds_exact=3)

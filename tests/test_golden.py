@@ -24,11 +24,18 @@ from smoothdyn.adversaries import (
     run_oblivious_ar_embed,
     scripted_phase_driver,
 )
+from smoothdyn.counters import (
+    SFourCycleCounter,
+    STPath3Counter,
+    STPath4Counter,
+    STriangleCounter,
+)
 from smoothdyn.graph import all_pairs, random_graph, uniform_pair
 from smoothdyn.harness import (
     MODELS,
     PROBLEMS,
     ExperimentConfig,
+    bench_point,
     cmd_bench,
     cmd_reduce,
     cmd_simulate,
@@ -46,6 +53,13 @@ from smoothdyn.reduction import (
     st3_counter_factory,
 )
 from smoothdyn.rng import trial_stream
+from smoothdyn.smoothing import (
+    Model,
+    SmoothedSource,
+    SmoothingParams,
+    StarFlipAdversary,
+    run_sequence,
+)
 
 SEED = 5
 
@@ -236,3 +250,44 @@ DIGESTS = {
 @pytest.mark.parametrize("name", list(OUTPUTS))
 def test_output_digest(name):
     assert _digest(OUTPUTS[name]()) == DIGESTS[name]
+
+
+# -- the modelled cost ---------------------------------------------------
+# ``ops`` is the paper's cost currency (C02 gates on it), so it is pinned
+# as exact values: a faster implementation must charge the same ops.
+
+HUB_COUNTER_PINS = {
+    "st3": (325055, 11976),
+    "st4": (353901, 1774827),
+    "s-triangle": (326323, 6055),
+    "s-4-cycle": (325817, 903197),
+}
+
+
+def test_hub_counter_ops_and_answers():
+    """(ops, query) of the four s-counters after a hub-flipping stream."""
+    n = 300
+    g = random_graph(n, trial_stream(SEED, 0))
+    counters = {
+        "st3": STPath3Counter(g, 0, 1),
+        "st4": STPath4Counter(g, 0, 1),
+        "s-triangle": STriangleCounter(g, 0),
+        "s-4-cycle": SFourCycleCounter(g, 0),
+    }
+    source = SmoothedSource(
+        Model.OBLIVIOUS_FLIP,
+        SmoothingParams(0.5),
+        StarFlipAdversary(n, hub=0),
+        n,
+        rng=trial_stream(SEED, 1),
+    )
+    run_sequence(g, source, 1000, list(counters.values()))
+    assert {k: (c.ops, c.query()) for k, c in counters.items()} == HUB_COUNTER_PINS
+
+
+@pytest.mark.parametrize(
+    "p,expected",
+    [(0.0, (0.0195, 4.3485)), (0.5, (0.5145, 108.5885)), (1.0, (1.0, 198.9))],
+)
+def test_bench_point_pin(p, expected):
+    assert bench_point(200, p, 2000, 3) == expected

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothdyn.counters import InvariantError
-from smoothdyn.graph import DynamicGraph, pair
+from smoothdyn.graph import DynamicGraph, pair, random_graph
 from smoothdyn.oracles import bf_st_paths
 from smoothdyn.reduction import (
+    EXTERIOR_TYPES,
     ChangeDistribution,
     P3Layout,
     ParitySamplingError,
@@ -332,6 +335,45 @@ def test_sixteen_pack_steps_preserve_recovery():
         pack.step(next_interior, rng)
         assert pack.query(count) == bf_st_paths(pack.interior, lay.s, lay.t, 3)
     pack.check_partition()
+
+
+class ScriptedRng:
+    """Stands in for the generator of one ``SixteenPack.step``: the step
+    kind and the exterior pair's index are chosen by the test."""
+
+    def __init__(self, interior: bool, index: int):
+        self.interior = interior
+        self.index = index
+
+    def random(self):
+        return 0.0 if self.interior else 1.0  # alpha lies in (0, 1)
+
+    def integers(self, k):
+        return self.index % k
+
+
+@given(
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=40),
+)
+@settings(max_examples=40, deadline=None)
+def test_sixteen_pack_part_bits_hold_after_any_steps(n, seed, script):
+    lay = P3Layout(n)
+    interior_edges = lay.interior_edges()
+    rng = trial_stream(seed, 0)
+    interior = random_graph(lay.n_nodes, rng, restriction=interior_edges)
+    pack = SixteenPack(lay, interior, 0.5, rng)
+    for interior_step, index in script:
+        pack.step(
+            lambda: interior_edges[index % len(interior_edges)],
+            ScriptedRng(interior_step, index),
+        )
+        pack.check_partition()
+        for i, g in enumerate(pack.graphs):
+            for l, name in enumerate(EXTERIOR_TYPES):
+                for e in pack.type_edges[name]:
+                    assert g.has_pair(e) == (pack.part[e] == (i >> l) & 1)
 
 
 def test_run_p3_to_general():
