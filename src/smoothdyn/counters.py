@@ -5,6 +5,12 @@ is invoked BEFORE the flip is applied to the shared graph, so the counter
 reads the pre-flip graph and is told the post-flip presence bit.  Updates
 with ``edge is None`` are null steps and cost O(1).
 
+A counter built on a ``TwoPathTable`` folds the table's output: the
+table's ``update`` (also called before the flip) returns the set of
+nodes whose 2-path count moved by +/-1, a fresh set that never aliases
+the graph's adjacency sets, and the counter adds their contribution in
+one pass.
+
 Counters expose ``ops``, a running count of elementary operations
 (edge-membership tests and counter-table writes) used by the harness's
 cost accounting.  ``ops`` is the paper's modelled cost and may exceed the
@@ -14,16 +20,13 @@ model while it walks only deg(v) neighbours.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import AbstractSet, Optional
 
 from .graph import DynamicGraph, Pair
 
 
 class InvariantError(RuntimeError):
     """An internal counter invariant failed; signals an implementation bug."""
-
-
-OnChange = Callable[[int, int, int], None]  # (u, old, new)
 
 
 class TwoPathTable:
@@ -33,9 +36,14 @@ class TwoPathTable:
     their first edge are not counted (equivalently: the middle node is
     never t_excluded).  c[s] is 0 at all times.
 
+    ``update(e, now_present)`` runs before the flip of e, applies +/-1 to
+    every c[u] the flip moves and returns the set of those nodes; the
+    returned set never aliases the graph's adjacency sets.
+
     Update cost: O(1) for an edge not incident to s.  An (s,v) edge
     charges n ops, the modelled scan of every node for (v,u) membership,
-    and walks deg(v): only v's neighbours can change.
+    and walks deg(v): only v's neighbours can change.  Every write to c
+    costs one more op.
     """
 
     __slots__ = ("g", "s", "t_excluded", "c", "ops")
@@ -58,46 +66,34 @@ class TwoPathTable:
     def query(self, u: int) -> int:
         return self.c[u]
 
-    def _bump(self, u: int, delta: int, on_change: Optional[OnChange]) -> None:
-        old = self.c[u]
-        new = old + delta
-        self.c[u] = new
-        self.ops += 1
-        if on_change is not None:
-            on_change(u, old, new)
-
-    def update(
-        self,
-        e: Optional[Pair],
-        now_present: bool,
-        on_change: Optional[OnChange] = None,
-    ) -> None:
+    def update(self, e: Optional[Pair], now_present: bool) -> AbstractSet[int]:
         if e is None:
-            return
+            return frozenset()
         a, b = e
         s, t = self.s, self.t_excluded
-        g = self.g
+        g, c = self.g, self.c
         delta = 1 if now_present else -1
         if a == s or b == s:
             v = b if a == s else a
             if v == t:
-                return  # the excluded edge never carries a counted 2-path
+                return frozenset()  # the excluded edge never carries a counted 2-path
             # charge the modelled scan of all n nodes, but walk only v's
-            # pre-flip neighbours (no self-loops, so u != v holds); the
-            # bumps are additive, so their order does not matter
-            self.ops += g.n
-            for u in g.neighbors(v):
-                if u != s:
-                    self._bump(u, delta, on_change)
+            # pre-flip neighbours; the difference is a fresh set
+            moved = g.neighbors(v) - {s}
+            for u in moved:
+                c[u] += delta
+            self.ops += g.n + len(moved)
         else:
-            # middle a, endpoint b -- needs (s,a) with a not excluded
-            self.ops += 1
+            # a non-excluded middle joined to s moves the other endpoint
+            moved = set()
             if a != t and g.has(s, a):
-                self._bump(b, delta, on_change)
-            # middle b, endpoint a
-            self.ops += 1
+                c[b] += delta
+                moved.add(b)
             if b != t and g.has(s, b):
-                self._bump(a, delta, on_change)
+                c[a] += delta
+                moved.add(a)
+            self.ops += 2 + len(moved)
+        return moved
 
 
 class STPath3Counter:
@@ -119,11 +115,6 @@ class STPath3Counter:
     def ops(self) -> int:
         return self._ops + self.two.ops
 
-    def _on_two_change(self, u: int, old: int, new: int) -> None:
-        self._ops += 1
-        if u != self.t and self.g.has(u, self.t):
-            self.c += new - old
-
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         if e is None:
             return
@@ -131,14 +122,16 @@ class STPath3Counter:
         a, b = e
         if (a == s and b == t) or (a == t and b == s):
             return  # the (s,t) edge never participates in an s-t 3-path
+        delta = 1 if now_present else -1
         if a == t or b == t:
-            u = b if a == t else a
-            delta = 1 if now_present else -1
-            self.c += delta * self.two.c[u]
+            self.c += delta * self.two.c[b if a == t else a]
             self._ops += 1
             self.two.update(e, now_present)  # maintains c[t]; no 3-path effect
         else:
-            self.two.update(e, now_present, on_change=self._on_two_change)
+            # each moved c_s2u with u ~ t changes the 3-paths (s,x,u,t) by delta
+            moved = self.two.update(e, now_present)
+            self.c += delta * len(self.g.neighbors(t) & moved)
+            self._ops += len(moved)
 
     def query(self) -> int:
         return self.c
@@ -183,28 +176,20 @@ class STPath4Counter:
         if in_s and in_t:
             return  # the (s,t) edge never lies on an s-t 4-path
         delta = 1 if now_present else -1
-        if in_s:
-            u = b if a == s else a
-            ut = g.has(u, t)
-            self._ops += 1
-            # paths (s,u,v,x,t) for each neighbor v of u; the walk with
-            # x=u is inside c_t2v exactly when (u,t) is present
-            for v in g.neighbors(u):
-                if v == s or v == t:
-                    continue
-                self.c += delta * (self.tside.c[v] - (1 if ut else 0))
-                self._ops += 1
-        elif in_t:
-            v = b if a == t else a
-            sv = g.has(s, v)
-            self._ops += 1
-            # paths (s,x,u,v,t) for each neighbor u of v; the walk with
-            # x=v is inside c_s2u exactly when (s,v) is present
-            for u in g.neighbors(v):
-                if u == s or u == t:
-                    continue
-                self.c += delta * (self.sside.c[u] - (1 if sv else 0))
-                self._ops += 1
+        if in_s or in_t:
+            # the flipped (end,x) joins each far-side 2-path (m,y,far) for
+            # every neighbor m of x; the far table's c_m also holds the
+            # walk with y=x exactly when (x,far) is present
+            end, far, table = (s, t, self.tside) if in_s else (t, s, self.sside)
+            x = b if a == end else a
+            mids = g.neighbors(x) - {s, t}
+            paths, total = table.c, 0
+            for m in mids:
+                total += paths[m]
+            if g.has(x, far):
+                total -= len(mids)
+            self.c += delta * total
+            self._ops += 1 + len(mids)
         else:
             u, v = a, b
             su, sv = g.has(s, u), g.has(s, v)
@@ -242,23 +227,20 @@ class STriangleCounter:
     def ops(self) -> int:
         return self._ops + self.two.ops
 
-    def _on_two_change(self, u: int, old: int, new: int) -> None:
-        self._ops += 1
-        if self.g.has(self.s, u):
-            self.c2 += new - old
-
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         if e is None:
             return
         s = self.s
         a, b = e
+        delta = 1 if now_present else -1
         if a == s or b == s:
-            v = b if a == s else a
-            delta = 1 if now_present else -1
             # c_s2v enters or leaves the sum over neighbors of s
-            self.c2 += delta * self.two.c[v]
+            self.c2 += delta * self.two.c[b if a == s else a]
             self._ops += 1
-        self.two.update(e, now_present, on_change=self._on_two_change)
+        # each moved c_s2u with u ~ s moves the sum by delta
+        moved = self.two.update(e, now_present)
+        self.c2 += delta * len(self.g.neighbors(s) & moved)
+        self._ops += len(moved)
 
     def query(self) -> int:
         if self.c2 % 2 != 0:
@@ -284,14 +266,17 @@ class SFourCycleCounter:
     def ops(self) -> int:
         return self._ops + self.two.ops
 
-    def _on_two_change(self, u: int, old: int, new: int) -> None:
-        self.c += new * (new - 1) // 2 - old * (old - 1) // 2
-        self._ops += 1
-
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         if e is None:
             return
-        self.two.update(e, now_present, on_change=self._on_two_change)
+        moved = self.two.update(e, now_present)
+        # with k the new c[u]: binom(k,2) - binom(k-1,2) = k - 1 on a rise,
+        # binom(k,2) - binom(k+1,2) = -k on a fall
+        paths, total = self.two.c, 0
+        for u in moved:
+            total += paths[u]
+        self.c += total - len(moved) if now_present else -total
+        self._ops += len(moved)
 
     def query(self) -> int:
         return self.c
@@ -300,33 +285,26 @@ class SFourCycleCounter:
 # -- deciders ------------------------------------------------------------
 
 _YES_PROBLEMS = ("connectivity", "perfect-matching")
-_SIZE_PROBLEMS = ("max-matching", "min-vertex-cover")
 
 
 class TrivialDecider:
-    """Constant-answer decider for dense smoothed inputs.
+    """Constant "yes" decider for dense smoothed inputs.
 
-    Connectivity / bipartite perfect matching answer "yes"; maximum
-    matching / minimum vertex cover answer the side size.  Valid for
-    oblivious-flip p-smoothed inputs with p <= 1 - 26 log n / n.
+    Answers connectivity and bipartite perfect matching with True, which
+    is valid for oblivious-flip p-smoothed inputs with
+    p <= 1 - 26 log n / n.
     """
 
-    def __init__(self, problem: str, side_size: Optional[int] = None):
-        if problem in _YES_PROBLEMS:
-            self._answer = True
-        elif problem in _SIZE_PROBLEMS:
-            if side_size is None:
-                raise ValueError(f"{problem} needs side_size")
-            self._answer = side_size
-        else:
+    def __init__(self, problem: str):
+        if problem not in _YES_PROBLEMS:
             raise ValueError(f"unknown problem {problem!r}")
         self.ops = 0
 
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         self.ops += 1
 
-    def query(self):
-        return self._answer
+    def query(self) -> bool:
+        return True
 
 
 class HybridDecider:
@@ -336,21 +314,13 @@ class HybridDecider:
     astronomically long, so callers pass a scaled-down ``rounds_exact``.
     """
 
-    def __init__(
-        self,
-        problem: str,
-        p: float,
-        g: DynamicGraph,
-        oracle,
-        rounds_exact: int,
-        side_size: Optional[int] = None,
-    ):
+    def __init__(self, problem: str, p: float, g: DynamicGraph, oracle, rounds_exact: int):
         if p >= 1.0:
             raise ValueError("hybrid decider requires p < 1")
         self.rounds_exact = rounds_exact
         self.g = g
         self._oracle = oracle
-        self._trivial = TrivialDecider(problem, side_size)
+        self._trivial = TrivialDecider(problem)
         self._round = 0
 
     def update(self, e: Optional[Pair], now_present: bool) -> None:

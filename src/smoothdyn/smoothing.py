@@ -285,14 +285,11 @@ class ScriptedFlipAdversary:
         return self._edges[step % len(self._edges)]
 
 
-class StarFlipAdversary:
+class StarFlipAdversary(ScriptedFlipAdversary):
     """Oblivious proposals cycling over all edges incident to a hub node."""
 
     def __init__(self, n: int, hub: int = 0):
-        self._edges = [pair(hub, v) for v in range(n) if v != hub]
-
-    def propose(self, step: int) -> Pair:
-        return self._edges[step % len(self._edges)]
+        super().__init__([(hub, v) for v in range(n) if v != hub])
 
 
 def p_prime(p: float) -> float:

@@ -136,23 +136,27 @@ def test_counters_track_oracles_under_random_flips(seed, n):
 
 class ScanTwoPathTable(TwoPathTable):
     """Reference: the (s,v) update as a full scan, one membership test
-    and one op per node, exactly the modelled cost."""
+    and one op per node plus one per write, exactly the modelled cost."""
 
-    def update(self, e, now_present, on_change=None):
+    def update(self, e, now_present):
         if e is None:
-            return
+            return ()
         a, b = e
         s, t, g = self.s, self.t_excluded, self.g
         if a != s and b != s:
-            return super().update(e, now_present, on_change)
+            return super().update(e, now_present)
         v = b if a == s else a
         if v == t:
-            return
+            return ()
         delta = 1 if now_present else -1
+        moved = []
         for u in range(g.n):
             self.ops += 1
             if u != s and u != v and g.has(v, u):
-                self._bump(u, delta, on_change)
+                self.c[u] += delta
+                self.ops += 1
+                moved.append(u)
+        return moved
 
 
 @given(st.data())
@@ -176,11 +180,11 @@ def test_two_path_table_matches_the_full_scan(data):
         else:
             e = pair(s, data.draw(st.integers(1, n - 1)))
         present = not g.has_pair(e)
-        calls = {"fast": [], "scan": []}
-        fast.update(e, present, on_change=lambda *c: calls["fast"].append(c))
-        scan.update(e, present, on_change=lambda *c: calls["scan"].append(c))
+        moved_fast = fast.update(e, present)
+        moved_scan = scan.update(e, present)
         g.flip(*e)
-        assert sorted(calls["fast"]) == sorted(calls["scan"]), e
+        assert all(moved_fast is not g.neighbors(u) for u in range(n)), e
+        assert sorted(moved_fast) == sorted(moved_scan), e
         assert fast.c == scan.c, e
         assert fast.ops == scan.ops, e
 
@@ -194,13 +198,12 @@ def test_update_cost_profile():
     table.update((2, 4), True)
     cheap = table.ops - base
     base = table.ops
-    writes = []
-    table.update((0, 3), True, on_change=lambda *call: writes.append(call))
+    moved = table.update((0, 3), True)
     expensive = table.ops - base
     assert cheap <= 4
     assert expensive >= n - 2
     # the modelled scan charges n ops up front, plus one per table write
-    assert expensive == n + len(writes)
+    assert expensive == n + len(moved)
 
 
 def test_worst_case_s_flips_stay_linear():
@@ -225,8 +228,6 @@ def test_worst_case_s_flips_stay_linear():
 def test_trivial_decider_answers():
     assert TrivialDecider("connectivity").query() is True
     assert TrivialDecider("perfect-matching").query() is True
-    assert TrivialDecider("max-matching", side_size=7).query() == 7
-    assert TrivialDecider("min-vertex-cover", side_size=5).query() == 5
     with pytest.raises(ValueError):
         TrivialDecider("max-matching")
     with pytest.raises(ValueError):

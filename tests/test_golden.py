@@ -263,9 +263,16 @@ HUB_COUNTER_PINS = {
     "s-4-cycle": (325817, 903197),
 }
 
+T_HUB_COUNTER_PINS = {
+    "st3": (25614, 10498),
+    "st4": (353755, 1560707),
+    "s-triangle": (26354, 4981),
+    "s-4-cycle": (26351, 737239),
+}
 
-def test_hub_counter_ops_and_answers():
-    """(ops, query) of the four s-counters after a hub-flipping stream."""
+
+def _hub_counter_results(hub: int) -> dict:
+    """(ops, query) of the four s-counters after a stream flipping hub's edges."""
     n = 300
     g = random_graph(n, trial_stream(SEED, 0))
     counters = {
@@ -277,12 +284,22 @@ def test_hub_counter_ops_and_answers():
     source = SmoothedSource(
         Model.OBLIVIOUS_FLIP,
         SmoothingParams(0.5),
-        StarFlipAdversary(n, hub=0),
+        StarFlipAdversary(n, hub=hub),
         n,
         rng=trial_stream(SEED, 1),
     )
     run_sequence(g, source, 1000, list(counters.values()))
-    assert {k: (c.ops, c.query()) for k, c in counters.items()} == HUB_COUNTER_PINS
+    return {k: (c.ops, c.query()) for k, c in counters.items()}
+
+
+def test_hub_counter_ops_and_answers():
+    """Hub = s: every proposal is an s-edge, the counters' O(n) branch."""
+    assert _hub_counter_results(0) == HUB_COUNTER_PINS
+
+
+def test_t_hub_counter_ops_and_answers():
+    """Hub = t: the t-edge branches of st3 and st4."""
+    assert _hub_counter_results(1) == T_HUB_COUNTER_PINS
 
 
 @pytest.mark.parametrize(
