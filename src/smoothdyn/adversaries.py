@@ -6,6 +6,11 @@ kept with probability p (and replaced by a uniformly random flip
 otherwise).  The adaptive strategy watches the realized graph and
 re-proposes still-needed flips; the oblivious add/remove strategy
 round-robins idempotent add/remove proposals toward known targets.
+
+:func:`multiphase_embed` realizes k flip batches of at most r_hat flips
+one after another, each as an adaptive embedding cut off after
+ceil(40 (c+2) r_hat max(ln k, 1) / p) steps with c = 1, against the
+advertised total budget 12 k r_hat / p.
 """
 
 from __future__ import annotations
@@ -133,14 +138,6 @@ class PhaseScript:
         return max((len(ph) for ph in self.phases), default=0)
 
 
-def phase_cutoff(k: int, r_hat: int, p: float, c: float = 1.0) -> int:
-    """Per-phase step cutoff ceil(40(c+2) * r_hat * max(log k, 1) / p); the log
-    floor makes k=1 a single adaptive embedding with a positive budget."""
-    if p <= 0:
-        raise InfeasibleTaskError("phased embedding requires p > 0")
-    return math.ceil(40.0 * (c + 2.0) * r_hat * max(math.log(k), 1.0) / p)
-
-
 @dataclass
 class MultiphaseResult:
     success: bool
@@ -150,30 +147,36 @@ class MultiphaseResult:
     within_budget: bool
 
 
+# failure-exponent constant c of the per-phase cutoff
+PHASE_C = 1.0
+
+
 def multiphase_embed(
     g: DynamicGraph,
     script: PhaseScript,
     p: float,
     rng: np.random.Generator,
-    c: float = 1.0,
-    check_feasible: bool = True,
 ) -> MultiphaseResult:
     """Realize k flip batches in sequence with a per-phase step cutoff.
 
-    The cutoff is :func:`phase_cutoff`; the advertised total budget is
-    12 k r_hat / p.
+    Each phase is an adaptive embedding of its batch with budget
+    ceil(40 (c+2) r_hat max(ln k, 1) / p), c = :data:`PHASE_C`; the log
+    floor makes k = 1 a single adaptive embedding with a positive budget.
+    The advertised total budget is 12 k r_hat / p.  Requires p > 0.
     """
     k = len(script.phases)
     r_hat = script.r_hat
     if k == 0:
         return MultiphaseResult(True, [], 0, 0.0, True)
-    cutoff = phase_cutoff(k, r_hat, p, c)
+    if p <= 0:
+        raise InfeasibleTaskError("phased embedding requires p > 0")
+    cutoff = math.ceil(40.0 * (PHASE_C + 2.0) * r_hat * max(math.log(k), 1.0) / p)
     budget = 12.0 * k * r_hat / p
     per_phase: List[int] = []
     success = True
     for flips in script.phases:
         task = EmbeddingTask(g.n, script.region, tuple(flips), p, cutoff)
-        result = run_adaptive_embed(g, task, rng, check_feasible=check_feasible)
+        result = run_adaptive_embed(g, task, rng)
         per_phase.append(result.steps_used)
         if not result.success:
             success = False
@@ -231,86 +234,3 @@ def run_oblivious_ar_embed(
 def oblivious_ar_failure_bound(r_prime: int, r: int, n: int, q: float, budget: int) -> float:
     """Numeric value of the failure bound r' q^{l/r'} + q l r / n^2."""
     return r_prime * q ** (budget / r_prime) + q * budget * r / float(n * n)
-
-
-# -- scripted worst-case phase driver ------------------------------------
-
-
-@dataclass
-class PhaseOutcome:
-    realized: bool
-    expected: str
-    observed: Optional[str]
-
-    @property
-    def agrees(self) -> Optional[bool]:
-        return None if not self.realized else self.observed == self.expected
-
-
-def parse_phase_script(text: str) -> List[Tuple[List[Pair], str]]:
-    """Parse the phase-script format.
-
-    One block per phase::
-
-        phase
-        flip u v
-        ...
-        expect <token>
-    """
-    phases: List[Tuple[List[Pair], str]] = []
-    flips: Optional[List[Pair]] = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "phase":
-            if flips is not None:
-                raise ValueError(f"line {lineno}: previous phase missing 'expect'")
-            flips = []
-        elif line.startswith("flip "):
-            if flips is None:
-                raise ValueError(f"line {lineno}: 'flip' outside a phase")
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'flip u v'")
-            flips.append(pair(int(parts[1]), int(parts[2])))
-        elif line.startswith("expect "):
-            if flips is None:
-                raise ValueError(f"line {lineno}: 'expect' outside a phase")
-            phases.append((flips, line.split(None, 1)[1]))
-            flips = None
-        else:
-            raise ValueError(f"line {lineno}: unrecognized directive {line!r}")
-    if flips is not None:
-        raise ValueError("final phase missing 'expect'")
-    return phases
-
-
-def scripted_phase_driver(
-    g: DynamicGraph,
-    region: Sequence[Pair],
-    script: Sequence[Tuple[Sequence[Pair], str]],
-    p: float,
-    rng: np.random.Generator,
-    query_fn,
-    c: float = 1.0,
-    check_feasible: bool = True,
-) -> List[PhaseOutcome]:
-    """Realize each scripted flip batch, then record the answer under test.
-
-    Phases whose embedding fails are marked unverifiable (realized=False)
-    and carry no observed answer.
-    """
-    region_set = frozenset(pair(u, v) for u, v in region)
-    k = max(len(script), 1)
-    r_hat = max((len(flips) for flips, _ in script), default=1)
-    cutoff = phase_cutoff(k, max(r_hat, 1), p, c)
-    outcomes: List[PhaseOutcome] = []
-    for flips, expected in script:
-        task = EmbeddingTask(g.n, region_set, tuple(flips), p, cutoff)
-        result = run_adaptive_embed(g, task, rng, check_feasible=check_feasible)
-        if result.success:
-            outcomes.append(PhaseOutcome(True, expected, str(query_fn(g))))
-        else:
-            outcomes.append(PhaseOutcome(False, expected, None))
-    return outcomes

@@ -55,10 +55,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     )
     known = {f.name for f in fields(ExperimentConfig)}
     overrides = {key: value for key, value in vars(args).items() if key in known}
-    config = config.override(**overrides).validate()
-    if args.command == "bench" and config.p_grid is None:
-        raise ValueError("bench requires --p-grid or a p_grid in the config")
-    return config
+    return config.override(**overrides).validate_for(args.command)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

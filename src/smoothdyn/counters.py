@@ -330,7 +330,3 @@ class HybridDecider:
         if self._round < self.rounds_exact:
             return self._oracle(self.g)
         return self._trivial.query()
-
-    @property
-    def in_exact_phase(self) -> bool:
-        return self._round < self.rounds_exact

@@ -154,20 +154,6 @@ class DynamicGraph:
         self._adj[b].add(a)
         return True
 
-    def add(self, u: int, v: int) -> bool:
-        """Insert the edge; return False (no-op) if already present."""
-        if self.has(u, v):
-            return False
-        self.flip(u, v)
-        return True
-
-    def remove(self, u: int, v: int) -> bool:
-        """Delete the edge; return False (no-op) if already absent."""
-        if not self.has(u, v):
-            return False
-        self.flip(u, v)
-        return True
-
 
 def random_graph(
     n: int,

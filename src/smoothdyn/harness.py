@@ -117,6 +117,20 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(known)}")
         return self
 
+    def validate_for(self, command: str) -> "ExperimentConfig":
+        """:meth:`validate`, then reject what ``command`` cannot run as stated."""
+        self.validate()
+        if command == "simulate":
+            if self.problem == "connectivity-hybrid" and self.p >= 1.0:
+                raise ValueError("connectivity-hybrid requires p < 1")
+            if self.problem == "perfect-matching-trivial" and self.n % 2:
+                raise ValueError(f"perfect-matching-trivial needs an even n, got {self.n}")
+        elif command == "bench" and not self.p_grid:
+            raise ValueError("bench requires --p-grid or a p_grid in the config")
+        elif command == "reduce" and self.mode == "sol" and self.p <= 0.0:
+            raise ValueError("reduce --mode sol requires p > 0")
+        return self
+
 
 @dataclass
 class MetricRow:
@@ -167,12 +181,11 @@ def make_model_source(
     n: int,
     seed: int,
     trial: int,
-    restriction=None,
 ) -> SmoothedSource:
     adv_rng = rngmod.adversary_stream(seed, trial)
     smooth_rng = rngmod.smoothing_stream(seed, trial)
     model = Model(model_name)
-    adv = _ADVERSARIES[model](n, adv_rng, restriction)
+    adv = _ADVERSARIES[model](n, adv_rng, params.restriction)
     return SmoothedSource(model, params, adv, n, rng=smooth_rng)
 
 
@@ -256,7 +269,7 @@ def simulate_trial(config: ExperimentConfig, trial: int) -> List[MetricRow]:
     else:
         raise ValueError(f"unknown simulate problem {problem!r}")
     params = SmoothingParams(p, restriction=restriction)
-    source = make_model_source(model, params, g.n, config.seed, trial, restriction)
+    source = make_model_source(model, params, g.n, config.seed, trial)
     errors = queries = 0
     for start in range(0, T, query_every):
         run_sequence(g, source, min(query_every, T - start), observers=[algorithm])
@@ -270,7 +283,7 @@ def simulate_trial(config: ExperimentConfig, trial: int) -> List[MetricRow]:
 
 
 def cmd_simulate(config: ExperimentConfig) -> List[MetricRow]:
-    config.validate()
+    config.validate_for("simulate")
     trials = range(config.trials)
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
@@ -305,9 +318,7 @@ def bench_point(
 
 
 def cmd_bench(config: ExperimentConfig) -> List[MetricRow]:
-    config.validate()
-    if not config.p_grid:
-        raise ValueError("bench requires a nonempty p-grid")
+    config.validate_for("bench")
     rows: List[MetricRow] = []
     for trial in range(config.trials):
         for p in config.p_grid:
@@ -364,7 +375,7 @@ REDUCE_MODES: Dict[str, Tuple[str, Callable]] = {
 
 def cmd_reduce(config: ExperimentConfig) -> Tuple[List[MetricRow], bool]:
     """Rows of the reduce mode's error rates, and whether it made no error."""
-    config.validate()
+    config.validate_for("reduce")
     problem, run_mode = REDUCE_MODES[config.mode]
     results = list(run_mode(config))
     rows = [

@@ -27,7 +27,6 @@ from typing import IO, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graph import DynamicGraph, Pair, pair, uniform_pair
-from .rng import smoothing_stream
 
 
 class Kind(Enum):
@@ -57,7 +56,6 @@ class ChangeEvent:
 @dataclass(frozen=True)
 class SmoothingParams:
     p: float
-    seed: int = 0
     restriction: Optional[Tuple[Pair, ...]] = None
 
     def __post_init__(self):
@@ -80,13 +78,13 @@ class SmoothedSource:
         params: SmoothingParams,
         adversary,
         n: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ):
         self.model = model
         self.params = params
         self.adversary = adversary
         self.n = n
-        self._rng = rng if rng is not None else smoothing_stream(params.seed)
+        self._rng = rng
         self._step = 0
         if params.restriction is not None:
             self._allowed: Optional[List[Pair]] = [pair(u, v) for u, v in params.restriction]

@@ -1,6 +1,3 @@
-import math
-
-import numpy as np
 import pytest
 
 from smoothdyn.adversaries import (
@@ -9,13 +6,10 @@ from smoothdyn.adversaries import (
     PhaseScript,
     multiphase_embed,
     oblivious_ar_failure_bound,
-    parse_phase_script,
     run_adaptive_embed,
     run_oblivious_ar_embed,
-    scripted_phase_driver,
 )
-from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph
-from smoothdyn.oracles import bf_connected
+from smoothdyn.graph import pair, random_graph
 from smoothdyn.rng import trial_stream
 
 
@@ -161,53 +155,3 @@ def test_failure_bound_values():
     assert oblivious_ar_failure_bound(8, 3200, 400, 0.0, 100) == 0.0
     v = oblivious_ar_failure_bound(2, 10, 100, 0.5, 4)
     assert v == pytest.approx(2 * 0.25 + 0.5 * 4 * 10 / 100**2)
-
-
-def test_parse_phase_script_roundtrip():
-    text = """
-    phase
-    flip 0 1
-    flip 2 3
-    expect yes
-
-    phase
-    flip 0 1
-    expect no
-    """
-    parsed = parse_phase_script(text)
-    assert parsed == [([(0, 1), (2, 3)], "yes"), ([(0, 1)], "no")]
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "flip 0 1\n",
-        "phase\nflip 0 1\n",
-        "phase\nexpect yes\nexpect no\n",
-        "phase\nflip 0\nexpect yes\n",
-        "phase\nfoo\nexpect yes\n",
-    ],
-)
-def test_parse_phase_script_errors(bad):
-    with pytest.raises(ValueError):
-        parse_phase_script(bad)
-
-
-def test_scripted_driver_forces_disconnection():
-    # phase 1 isolates node 0; phase 2 reattaches it; query = connectivity
-    n = 20
-    rng = trial_stream(9, 0)
-    g = DynamicGraph(n, [pair(u, v) for u in range(n) for v in range(u + 1, n)])
-    region = [pair(0, v) for v in range(1, n)]
-    script = [(list(region), "False"), ([region[0]], "True")]
-    outcomes = scripted_phase_driver(
-        g, region, script, 1.0, rng, lambda graph: bf_connected(graph)
-    )
-    assert [o.realized for o in outcomes] == [True, True]
-    assert [o.agrees for o in outcomes] == [True, True]
-    from smoothdyn.adversaries import PhaseOutcome
-
-    unrealized = PhaseOutcome(False, "False", None)
-    assert unrealized.agrees is None
-    with pytest.raises(InfeasibleTaskError):
-        scripted_phase_driver(g, region, script, 0.0, rng, bf_connected)

@@ -240,7 +240,6 @@ def test_hybrid_decider_phases():
     assert decider.query() is False  # exact phase sees the truth
     for _ in range(3):
         decider.update((0, 1), True)
-    assert not decider.in_exact_phase
     assert decider.query() is True  # constant phase
     with pytest.raises(ValueError):
         HybridDecider("connectivity", 1.0, g, bf_connected, rounds_exact=3)

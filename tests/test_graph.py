@@ -64,10 +64,6 @@ def test_flip_add_remove():
     assert g.flip(0, 1) is True
     assert g.flip(0, 1) is False
     assert g.edge_count() == 0
-    assert g.add(0, 1) is True
-    assert g.add(1, 0) is False  # already present
-    assert g.remove(0, 1) is True
-    assert g.remove(0, 1) is False
     k4 = DynamicGraph(4, list(all_pairs(4)))
     k4.flip(2, 3)
     assert k4.edge_count() == 5

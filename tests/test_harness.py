@@ -132,6 +132,20 @@ def test_simulate_trial_determinism():
     assert a == b
 
 
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    write_metrics(rows, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("problem", ["st4", "connectivity-hybrid"])
+def test_simulate_threads_keep_csv_bytes(problem):
+    """Worker processes change neither the rows nor their order."""
+    cfg = dict(problem=problem, model="oblivious-ar", n=10, p=0.4, T=60, trials=3, seed=2)
+    serial = _csv_text(cmd_simulate(ExperimentConfig(threads=1, **cfg)))
+    assert _csv_text(cmd_simulate(ExperimentConfig(threads=2, **cfg))) == serial
+
+
 def test_bench_prediction_and_ratio():
     n, T, seed = 300, 3000, 0
     for p in (0.1, 0.5, 1.0):
@@ -243,6 +257,9 @@ def test_cli_bad_config_errors(tmp_path):
         ["reduce", "-n", "1"],
         ["reduce", "--mode", "omv-chain", "-n", "1"],
         ["reduce", "--mode", "p3general", "-n", "1"],
+        ["simulate", "--problem", "connectivity-hybrid", "-p", "1"],
+        ["reduce", "--mode", "sol", "-p", "0"],
+        ["simulate", "--problem", "perfect-matching-trivial", "-n", "3"],
     ],
     ids=" ".join,
 )

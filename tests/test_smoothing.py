@@ -107,7 +107,9 @@ def test_smooth_initial_matches_zip_reference(n, restricted):
 
 def test_next_change_p1_scripted():
     adv = ScriptedFlipAdversary([(0, 1)])
-    source = SmoothedSource(Model.OBLIVIOUS_FLIP, SmoothingParams(1.0, seed=3), adv, 4)
+    source = SmoothedSource(
+        Model.OBLIVIOUS_FLIP, SmoothingParams(1.0), adv, 4, rng=smoothing_stream(3)
+    )
     for _ in range(20):
         ev = source.next_change()
         assert ev == ChangeEvent((0, 1), Kind.FLIP, Provenance.ADVERSARIAL)
@@ -142,7 +144,7 @@ def test_adversarial_fraction():
 def test_restriction_contract_violation():
     params = SmoothingParams(1.0, restriction=((0, 1),))
     adv = ScriptedFlipAdversary([(2, 3)])
-    source = SmoothedSource(Model.OBLIVIOUS_FLIP, params, adv, 4)
+    source = SmoothedSource(Model.OBLIVIOUS_FLIP, params, adv, 4, rng=smoothing_stream(0))
     with pytest.raises(ContractViolation):
         source.next_change()
 
@@ -185,7 +187,9 @@ def test_oblivious_replay_invariance():
 def test_run_sequence_basics():
     g = DynamicGraph(4, [(0, 1)])
     adv = ScriptedFlipAdversary([(0, 1)])
-    source = SmoothedSource(Model.OBLIVIOUS_FLIP, SmoothingParams(1.0), adv, 4)
+    source = SmoothedSource(
+        Model.OBLIVIOUS_FLIP, SmoothingParams(1.0), adv, 4, rng=smoothing_stream(0)
+    )
     assert run_sequence(g, source, 0) == []
     log = run_sequence(g, source, 2)
     assert len(log) == 2
