@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graph import DynamicGraph, Pair, pair, uniform_pair
+from .rng import BlockDraws
 from .smoothing import (
     Model,
     Provenance,
@@ -109,7 +110,10 @@ def run_adaptive_embed(
     rng: np.random.Generator,
     check_feasible: bool = True,
 ) -> EmbedResult:
-    """Drive the adaptive embedding until success or budget exhaustion."""
+    """Drive the adaptive embedding until success or budget exhaustion.
+
+    Draws from ``rng`` exactly what plain numpy draws would, and hands it
+    back in that state, so the caller may go on drawing from it."""
     if check_feasible:
         task.require_feasible()
     adversary = AdaptiveEmbedAdversary(task)
@@ -119,12 +123,15 @@ def run_adaptive_embed(
     observers = [adversary]
     hits = 0
     steps = 0
-    while not adversary.done and steps < task.budget:
-        ev = source.next_change(g)
-        notify_and_flip(g, ev.edge, observers)
-        if ev.provenance is Provenance.RANDOM and ev.edge in task.region:
-            hits += 1
-        steps += 1
+    try:
+        while not adversary.done and steps < task.budget:
+            ev = source.next_change(g)
+            notify_and_flip(g, ev.edge, observers)
+            if ev.provenance is Provenance.RANDOM and ev.edge in task.region:
+                hits += 1
+            steps += 1
+    finally:
+        source.close()
     return EmbedResult(adversary.done, steps, hits)
 
 
@@ -214,16 +221,17 @@ def run_oblivious_ar_embed(
     target = {e: not start[e] for e in flip_list}
     hits = 0
     k = 0
-    for _ in range(budget):
-        if rng.random() < p:
-            e = flip_list[k % len(flip_list)]
-            k += 1
-            state[e] = target[e]  # idempotent add/remove toward the target
-        else:
-            f = uniform_pair(n, rng)
-            if f in state:
-                state[f] = not state[f]
-                hits += 1
+    with BlockDraws(rng) as draws:
+        for _ in range(budget):
+            if draws.random() < p:
+                e = flip_list[k % len(flip_list)]
+                k += 1
+                state[e] = target[e]  # idempotent add/remove toward the target
+            else:
+                f = uniform_pair(n, draws)
+                if f in state:
+                    state[f] = not state[f]
+                    hits += 1
     flip_set = set(flip_list)
     success = all(
         (state[e] != start[e]) == (e in flip_set) for e in region_pairs

@@ -45,6 +45,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int)
 
 
+# config fields every reduce mode honours besides those it computes from
+_OUTPUT_FIELDS = {"mode", "out", "timings_out"}
+
+
 def _p_grid(text: str) -> List[float]:
     return [float(x) for x in text.split(",")]
 
@@ -54,8 +58,16 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     )
     known = {f.name for f in fields(ExperimentConfig)}
-    overrides = {key: value for key, value in vars(args).items() if key in known}
-    return config.override(**overrides).validate_for(args.command)
+    overrides = {
+        key: value for key, value in vars(args).items() if key in known and value is not None
+    }
+    config = config.override(**overrides).validate_for(args.command)
+    if args.command == "reduce":
+        unread = set(overrides) - REDUCE_MODES[config.mode].reads - _OUTPUT_FIELDS
+        if unread:
+            flags = ", ".join(("-" if len(key) == 1 else "--") + key for key in sorted(unread))
+            raise ValueError(f"reduce --mode {config.mode} does not read {flags}")
+    return config
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -51,25 +51,27 @@ def pair_index(n: int, e: Pair) -> int:
 
 
 def index_pair(n: int, idx: int) -> Pair:
-    """Inverse of :func:`pair_index` in O(1) via the triangular-number inverse."""
-    if idx < 0 or idx >= pair_count(n):
+    """Inverse of :func:`pair_index` in O(1), exactly in integers.
+
+    Counted from the last pair, index r lies in the row of k pairs where
+    k is the largest integer with k (k - 1) / 2 <= r, that is
+    k = (isqrt(8 r + 1) + 1) // 2; that row is u = n - 1 - k.
+    """
+    count = pair_count(n)
+    if idx < 0 or idx >= count:
         raise GraphError(f"pair index {idx} out of range for n={n}")
-    # float approximation of the row, then exact integer fixup
-    u = int(n - 0.5 - math.sqrt((n - 0.5) ** 2 - 2.0 * idx))
-    u = min(max(u, 0), n - 2)
-    while _row_start(n, u + 1) <= idx:
-        u += 1
-    while _row_start(n, u) > idx:
-        u -= 1
-    v = u + 1 + (idx - _row_start(n, u))
-    return (u, v)
+    r = count - 1 - idx
+    k = (math.isqrt(8 * r + 1) + 1) // 2
+    return (n - 1 - k, n - 1 - r + k * (k - 1) // 2)
 
 
 def uniform_pair(
-    n: int, rng: np.random.Generator, allowed: Optional[Sequence[Pair]] = None
+    n: int, rng, allowed: Optional[Sequence[Pair]] = None
 ) -> Pair:
     """A uniform pair from ``allowed``, else from binom([n],2), by one
-    ``rng.integers`` draw (no rejection) indexing ``allowed`` or pair_index order."""
+    ``rng.integers`` draw (no rejection) indexing ``allowed`` or pair_index
+    order.  ``rng`` is a numpy ``Generator`` or a :class:`~smoothdyn.rng.BlockDraws`
+    over one, which draw the same value."""
     if allowed is not None:
         return allowed[int(rng.integers(len(allowed)))]
     return index_pair(n, int(rng.integers(pair_count(n))))

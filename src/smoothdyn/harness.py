@@ -13,7 +13,18 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
-from typing import IO, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    IO,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -365,18 +376,25 @@ def _reduce_omv_chain(config: ExperimentConfig) -> Iterator[Tuple[int, int, int,
     yield 0, trials, errors, trials
 
 
-# mode -> (CSV problem column, function yielding (trial, T, errors, checks) per row)
-REDUCE_MODES: Dict[str, Tuple[str, Callable]] = {
-    "sol": ("sol-exact", _reduce_sol),
-    "p3general": ("p3general", _reduce_p3general),
-    "omv-chain": ("omv-chain", _reduce_omv_chain),
+class ReduceMode(NamedTuple):
+    problem: str  # the CSV problem column
+    run: Callable  # config -> iterator of (trial, T, errors, checks), one per row
+    reads: FrozenSet[str]  # the config fields run reads
+
+
+REDUCE_MODES: Dict[str, ReduceMode] = {
+    "sol": ReduceMode("sol-exact", _reduce_sol, frozenset({"n", "p", "trials", "seed"})),
+    "p3general": ReduceMode(
+        "p3general", _reduce_p3general, frozenset({"n", "p", "T", "trials", "seed"})
+    ),
+    "omv-chain": ReduceMode("omv-chain", _reduce_omv_chain, frozenset({"n", "trials", "seed"})),
 }
 
 
 def cmd_reduce(config: ExperimentConfig) -> Tuple[List[MetricRow], bool]:
     """Rows of the reduce mode's error rates, and whether it made no error."""
     config.validate_for("reduce")
-    problem, run_mode = REDUCE_MODES[config.mode]
+    problem, run_mode, _ = REDUCE_MODES[config.mode]
     results = list(run_mode(config))
     rows = [
         MetricRow(trial, config.p, config.n, T, problem, "reduction", "error_rate", errors / checks)

@@ -27,6 +27,7 @@ from typing import IO, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graph import DynamicGraph, Pair, pair, uniform_pair
+from .rng import BlockDraws
 
 
 class Kind(Enum):
@@ -70,7 +71,11 @@ class ContractViolation(RuntimeError):
 
 
 class SmoothedSource:
-    """Stateful generator of one p-smoothed change per :meth:`next_change`."""
+    """Stateful generator of one p-smoothed change per :meth:`next_change`.
+
+    Owns ``rng`` through a :class:`~smoothdyn.rng.BlockDraws`: nothing
+    else may draw from it until :meth:`close` hands it back.
+    """
 
     def __init__(
         self,
@@ -84,7 +89,7 @@ class SmoothedSource:
         self.params = params
         self.adversary = adversary
         self.n = n
-        self._rng = rng
+        self._draws = BlockDraws(rng)
         self._step = 0
         if params.restriction is not None:
             self._allowed: Optional[List[Pair]] = [pair(u, v) for u, v in params.restriction]
@@ -115,12 +120,17 @@ class SmoothedSource:
             prop = self._check(prop)
             if kind not in (Kind.ADD, Kind.REMOVE):
                 raise ContractViolation(f"add/remove adversary proposed kind {kind}")
-        if self._rng.random() < self.params.p:
+        if self._draws.random() < self.params.p:
             return ChangeEvent(prop, kind, Provenance.ADVERSARIAL)
         # the random replacement is always a flip, in every model
         return ChangeEvent(
-            uniform_pair(self.n, self._rng, self._allowed), Kind.FLIP, Provenance.RANDOM
+            uniform_pair(self.n, self._draws, self._allowed), Kind.FLIP, Provenance.RANDOM
         )
+
+    def close(self) -> None:
+        """Hand the smoothing generator back in the state plain numpy draws
+        would have left it in."""
+        self._draws.close()
 
 
 def smooth_initial(
@@ -250,15 +260,16 @@ class LazyFlipAdapter:
 
 
 class UniformFlipAdversary:
-    """Oblivious flip proposals drawn uniformly from the allowed set."""
+    """Oblivious flip proposals drawn uniformly from the allowed set; owns
+    ``rng`` through a :class:`~smoothdyn.rng.BlockDraws`."""
 
     def __init__(self, n: int, rng: np.random.Generator, restriction=None):
         self.n = n
-        self._rng = rng
+        self._draws = BlockDraws(rng)
         self._allowed = [pair(u, v) for u, v in restriction] if restriction else None
 
     def propose(self, step: int) -> Pair:
-        return uniform_pair(self.n, self._rng, self._allowed)
+        return uniform_pair(self.n, self._draws, self._allowed)
 
 
 class UniformAdaptiveAdversary(UniformFlipAdversary):
@@ -268,8 +279,8 @@ class UniformAdaptiveAdversary(UniformFlipAdversary):
 
 class UniformAddRemoveAdversary(UniformFlipAdversary):
     def propose(self, step: int) -> Tuple[Pair, Kind]:  # type: ignore[override]
-        e = uniform_pair(self.n, self._rng, self._allowed)
-        kind = Kind.ADD if self._rng.random() < 0.5 else Kind.REMOVE
+        e = uniform_pair(self.n, self._draws, self._allowed)
+        kind = Kind.ADD if self._draws.random() < 0.5 else Kind.REMOVE
         return e, kind
 
 
@@ -301,14 +312,15 @@ class FlipSimulatingARAdversary:
     Copies the wrapped flip strategy's edge choice each step and picks
     Add or Remove by a fair private coin; the realized process is then a
     lazy flip process with parameter ``p_prime(p) = p/(2-p)`` (each step
-    is null with probability p/2).
+    is null with probability p/2).  Owns ``rng`` through a
+    :class:`~smoothdyn.rng.BlockDraws`.
     """
 
     def __init__(self, flip_adversary, rng: np.random.Generator):
         self._flip_adversary = flip_adversary
-        self._rng = rng
+        self._draws = BlockDraws(rng)
 
     def propose(self, step: int) -> Tuple[Pair, Kind]:
         e = self._flip_adversary.propose(step)
-        kind = Kind.ADD if self._rng.random() < 0.5 else Kind.REMOVE
+        kind = Kind.ADD if self._draws.random() < 0.5 else Kind.REMOVE
         return e, kind

@@ -2,6 +2,7 @@ import pytest
 
 from smoothdyn.adversaries import (
     EmbeddingTask,
+    EmbedResult,
     InfeasibleTaskError,
     PhaseScript,
     multiphase_embed,
@@ -9,7 +10,7 @@ from smoothdyn.adversaries import (
     run_adaptive_embed,
     run_oblivious_ar_embed,
 )
-from smoothdyn.graph import pair, random_graph
+from smoothdyn.graph import all_pairs, pair, random_graph
 from smoothdyn.rng import trial_stream
 
 
@@ -149,6 +150,68 @@ def test_oblivious_ar_embed_initial_state_and_region_isolation():
     init = {e: False for e in region}
     res = run_oblivious_ar_embed(100, region, region[:2], 1.0, 10, rng, initial_state=init)
     assert res.success
+
+
+def _reference_adaptive_embed(g, task, rng):
+    """``run_adaptive_embed`` with plain numpy scalar draws: propose the
+    first pending flip, keep it w.p. p, else flip a uniform pair."""
+    pairs = list(all_pairs(g.n))
+    pending = dict.fromkeys(task.flips)
+    steps = hits = 0
+    while pending and steps < task.budget:
+        e = next(iter(pending))
+        kept = rng.random() < task.p
+        if not kept:
+            e = pairs[int(rng.integers(len(pairs)))]
+        if e in task.region:
+            hits += not kept
+            if e in pending:
+                del pending[e]
+            else:
+                pending[e] = None
+        g.flip(*e)
+        steps += 1
+    return EmbedResult(not pending, steps, hits)
+
+
+def _reference_oblivious_ar_embed(n, region, flips, p, budget, rng):
+    """``run_oblivious_ar_embed`` with plain numpy scalar draws."""
+    pairs = list(all_pairs(n))
+    state = {e: bool(b) for e, b in zip(region, rng.random(len(region)) < 0.5)}
+    start = dict(state)
+    hits = k = 0
+    for _ in range(budget):
+        if rng.random() < p:
+            e = flips[k % len(flips)]
+            k += 1
+            state[e] = not start[e]
+        else:
+            f = pairs[int(rng.integers(len(pairs)))]
+            if f in state:
+                state[f] = not state[f]
+                hits += 1
+    success = all((state[e] != start[e]) == (e in flips) for e in region)
+    return EmbedResult(success, budget, hits)
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_embeddings_hand_back_the_generator_as_plain_draws_would(trial):
+    """Both embeddings draw what plain numpy draws would, and leave the
+    caller's generator in the state those draws leave, so a caller that
+    goes on drawing (``multiphase_embed``, C04) sees the same stream."""
+    n = 40
+    region = sorted(region_around(range(9)))
+    flips = region[: 2 + trial]
+    task = EmbeddingTask(n, frozenset(region), tuple(flips), 0.5, 20 + 15 * trial)
+    rng, twin = trial_stream(11, trial), trial_stream(11, trial)
+    g, h = random_graph(n, rng), random_graph(n, twin)
+    assert run_adaptive_embed(g, task, rng) == _reference_adaptive_embed(h, task, twin)
+    assert g.edge_set() == h.edge_set()
+    assert rng.bit_generator.state == twin.bit_generator.state
+    got = run_oblivious_ar_embed(n, region, flips, 0.6, 30, rng)
+    assert got == _reference_oblivious_ar_embed(n, region, flips, 0.6, 30, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert rng.integers(435) == twin.integers(435)
 
 
 def test_failure_bound_values():

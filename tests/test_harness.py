@@ -223,6 +223,9 @@ def test_cli_reduce_and_verify(capsys, tmp_path):
          "--seed", "0", "--out", str(out)]
     )
     assert code == 0 and out.exists()
+    code = main(["reduce", "--mode", "p3general", "-n", "3", "-p", "0.5", "-T", "40",
+                 "--trials", "1", "--out", str(out)])
+    assert code == 0
     code = main(["verify", "--seed", "0"])
     captured = capsys.readouterr().out
     assert code == 0
@@ -260,6 +263,12 @@ def test_cli_bad_config_errors(tmp_path):
         ["simulate", "--problem", "connectivity-hybrid", "-p", "1"],
         ["reduce", "--mode", "sol", "-p", "0"],
         ["simulate", "--problem", "perfect-matching-trivial", "-n", "3"],
+        # a reduce mode rejects the flags it does not read
+        ["reduce", "--mode", "omv-chain", "-p", "0.9", "-T", "77", "-n", "3", "--trials", "2"],
+        ["reduce", "--mode", "omv-chain", "-p", "0.9"],
+        ["reduce", "--mode", "omv-chain", "-T", "77"],
+        ["reduce", "--mode", "sol", "-T", "5"],
+        ["reduce", "-T", "5"],  # sol is the default mode
     ],
     ids=" ".join,
 )

@@ -214,6 +214,37 @@ def test_run_sequence_mixing_density():
     assert abs(float(np.mean(densities)) - 0.5) < 0.05
 
 
+def _reference_changes(model, params, n, seed, trial, steps):
+    """The change stream written with plain numpy scalar draws (the
+    uniform adversaries' proposal, then the smoothing coin and the
+    replacement pair), kept as the reference ``BlockDraws`` must match."""
+    adv_rng, smooth_rng = adversary_stream(seed, trial), smoothing_stream(seed, trial)
+    pairs = [pair(u, v) for u, v in params.restriction or all_pairs(n)]
+    events = []
+    for _ in range(steps):
+        prop, kind = pairs[int(adv_rng.integers(len(pairs)))], Kind.FLIP
+        if model == "oblivious-ar":
+            kind = Kind.ADD if adv_rng.random() < 0.5 else Kind.REMOVE
+        if smooth_rng.random() < params.p:
+            events.append(ChangeEvent(prop, kind, Provenance.ADVERSARIAL))
+        else:
+            replacement = pairs[int(smooth_rng.integers(len(pairs)))]
+            events.append(ChangeEvent(replacement, Kind.FLIP, Provenance.RANDOM))
+    return events
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("model", MODELS)
+def test_routed_draws_match_plain_numpy(model, restricted):
+    n = 30
+    restriction = tuple(pair(u, u + 1 + u % 7) for u in range(20)) if restricted else None
+    params = SmoothingParams(0.3, restriction=restriction)
+    source = make_model_source(model, params, n, 12, 3)
+    g = DynamicGraph(n)  # read by the adaptive model only, and ignored there
+    got = [source.next_change(g) for _ in range(10_000)]
+    assert got == _reference_changes(model, params, n, 12, 3, 10_000)
+
+
 class _PreFlipProbe:
     """Observer that checks the counters' ordering contract: ``update``
     runs while the graph still holds the pre-flip state."""
