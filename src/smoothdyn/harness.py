@@ -444,8 +444,9 @@ def cmd_verify(seed: int = 0) -> List[Tuple[str, bool, str]]:
         rng = rngmod.stream(seed, 2)
         from .reduction import poisson_sample
 
-        draws = sum(poisson_sample(1.0, rng) % 2 == 0 for _ in range(20000))
-        if abs(draws / 20000 - poisson_even_mass(1.0)) > 0.02:
+        with rngmod.ExponentialDraws(rng) as exp_draws:
+            evens = sum(poisson_sample(1.0, exp_draws) % 2 == 0 for _ in range(20000))
+        if abs(evens / 20000 - poisson_even_mass(1.0)) > 0.02:
             raise AssertionError("Poisson parity mass off")
 
     def embed_invariants() -> None:

@@ -28,6 +28,7 @@ from scipy import stats
 from .counters import InvariantError, STPath3Counter
 from .graph import DynamicGraph, Pair, pair, random_graph, uniform_pair
 from .oracles import bf_st_paths
+from .rng import ExponentialDraws
 from .smoothing import Model, SmoothedSource, SmoothingParams, UniformFlipAdversary, notify_and_flip
 
 
@@ -59,9 +60,10 @@ def poisson_parity_conditional(lam: float, parity: int, rng: np.random.Generator
     """Poisson(lam) conditioned on the output's parity, by rejection.
 
     The target parity has mass (1 +- e^{-2 lam})/2 >= 1/3 for lam >= ln(3)/2,
-    so 64 retries push the failure probability below 2^-64 at any
-    reasonable lambda; an exhausted cap signals a pathologically small
-    lambda paired with parity 1.
+    so 64 retries fail with probability at most (2/3)^64, about 2^-37.4.
+    At the solver's lambda (about 7.7 at n = 16, p = 1/2) both masses
+    are within e^-15 of 1/2, so there it is about 2^-64.  An exhausted
+    cap signals a pathologically small lambda paired with parity 1.
     """
     if lam <= 0:
         raise ValueError(f"lambda={lam} must be positive")
@@ -357,22 +359,28 @@ class ParityOuMvSolver:
         v = np.asarray(v, dtype=np.uint8) % 2
         u_dif = u ^ self.u_prev
         v_dif = v ^ self.v_prev
+        # Same stream as scalar draws in this order: side parities, then
+        # per copy its AB count and its 2z endpoints (i0, j0, i1, j1, ...).
+        # Exponentials come in array scopes, closed before each integers().
         shared: List[Pair] = []
-        for i in range(n):
-            z = poisson_parity_conditional(self.lam_side, int(u_dif[i]), rng)
-            shared.extend([layout.sa_edge(i)] * z)
-        for j in range(n):
-            z = poisson_parity_conditional(self.lam_side, int(v_dif[j]), rng)
-            shared.extend([layout.bt_edge(j)] * z)
+        with ExponentialDraws(rng) as draws:
+            for i, bit in enumerate(u_dif.tolist()):
+                z = poisson_parity_conditional(self.lam_side, bit, draws)
+                shared.extend([layout.sa_edge(i)] * z)
+            for j, bit in enumerate(v_dif.tolist()):
+                z = poisson_parity_conditional(self.lam_side, bit, draws)
+                shared.extend([layout.bt_edge(j)] * z)
+            z = poisson_sample(self.lam_ab, draws) if self.lam_ab > 0 else 0
         seqs: List[List[Pair]] = [list(shared) for _ in range(3)]
-        if self.lam_ab > 0:
-            for j in range(3):
-                z = poisson_sample(self.lam_ab, rng)
-                for _ in range(z):
-                    e = layout.ab_edge(int(rng.integers(n)), int(rng.integers(n)))
-                    for other in range(3):
-                        if other != j:
-                            seqs[other].append(e)
+        for j in range(3 if self.lam_ab > 0 else 0):
+            if j:
+                with ExponentialDraws(rng) as draws:
+                    z = poisson_sample(self.lam_ab, draws)
+            ends = rng.integers(n, size=2 * z).tolist()
+            batch = list(map(layout.ab_edge, ends[::2], ends[1::2]))
+            for other in range(3):
+                if other != j:
+                    seqs[other].extend(batch)
         for j in range(3):
             rng.shuffle(seqs[j])
             self._apply(j, seqs[j])
@@ -458,21 +466,23 @@ def dadvp_verify_histogram(
     probs = [p_side_total / 2.0, p_side_total / 2.0, p_mid_total]
     genuine = np.empty((samples, 3), dtype=np.int64)
     for i in range(samples):
-        length = poisson_sample(t_param, rng)
+        with ExponentialDraws(rng) as draws:
+            length = poisson_sample(t_param, draws)
         genuine[i] = rng.multinomial(length, probs)
     synth = np.empty((samples, 3), dtype=np.int64)
-    for i in range(samples):
-        n_sa = n_bt = 0
-        for _ in range(n):  # sA edges
-            parity = poisson_sample(lam_side, rng) % 2  # u_dif entry
-            n_sa += poisson_parity_conditional(lam_side, parity, rng)
-        for _ in range(n):  # Bt edges
-            parity = poisson_sample(lam_side, rng) % 2
-            n_bt += poisson_parity_conditional(lam_side, parity, rng)
-        n_ab = 0
-        if lam_ab > 0:
-            n_ab = poisson_sample(lam_ab, rng) + poisson_sample(lam_ab, rng)
-        synth[i] = (n_sa, n_bt, n_ab)
+    with ExponentialDraws(rng) as draws:
+        for i in range(samples):
+            n_sa = n_bt = 0
+            for _ in range(n):  # sA edges
+                parity = poisson_sample(lam_side, draws) % 2  # u_dif entry
+                n_sa += poisson_parity_conditional(lam_side, parity, draws)
+            for _ in range(n):  # Bt edges
+                parity = poisson_sample(lam_side, draws) % 2
+                n_bt += poisson_parity_conditional(lam_side, parity, draws)
+            n_ab = 0
+            if lam_ab > 0:
+                n_ab = poisson_sample(lam_ab, draws) + poisson_sample(lam_ab, draws)
+            synth[i] = (n_sa, n_bt, n_ab)
     totals = np.vstack([genuine.sum(axis=0), synth.sum(axis=0)])
     cols = totals.sum(axis=0) > 0
     type_p = float(stats.chi2_contingency(totals[:, cols]).pvalue) if cols.sum() > 1 else 1.0

@@ -33,6 +33,18 @@ generator in the state those calls would have left.  While a
 ``BlockDraws`` is open nothing else may draw from its generator: the
 words it has fetched ahead are not yet drawn as far as the generator
 knows, and are handed back only at ``close``.
+
+Scalar ``standard_exponential()`` draws (numpy's ziggurat) go through
+:class:`ExponentialDraws`, which does not decode anything.  It relies
+on one contract of the installed numpy, which ``tests/test_rng.py``
+checks: ``standard_exponential(k)`` returns the same values as ``k``
+scalar calls and leaves the generator in the same state (the ziggurat
+reads whole 64-bit words, so the 32-bit half-word buffer is untouched).
+It serves scalar calls from such arrays; :meth:`ExponentialDraws.close`
+restores the state saved on open and redraws exactly the values used
+as one array, which leaves the generator where that many scalar calls
+would have.  The same rule holds: nothing else draws from the generator
+while the scope is open.
 """
 
 from __future__ import annotations
@@ -170,6 +182,60 @@ class BlockDraws:
         self._has_half = False
 
     def __enter__(self) -> "BlockDraws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ExponentialDraws:
+    """Scalar ``standard_exponential()`` draws of a generator, served from
+    array draws (see the module docstring).
+
+    Owns the generator from construction until :meth:`close`, which
+    restores the state saved on open and redraws the values used in one
+    array call.  Also a context manager that closes on exit.
+    """
+
+    __slots__ = ("_gen", "_state", "_values", "_next", "_size", "_fetched")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._state = gen.bit_generator.state
+        self._size = _FIRST_BLOCK
+        self._fetched = 0
+        self._values = iter(())
+        self._next = self._values.__next__
+
+    def standard_exponential(self) -> float:
+        """``Generator.standard_exponential()``: an Exp(1) float."""
+        try:
+            return self._next()
+        except StopIteration:
+            pass
+        if self._gen is None:
+            raise RuntimeError("ExponentialDraws used after close()")
+        self._values = iter(self._gen.standard_exponential(self._size).tolist())
+        self._next = self._values.__next__
+        self._fetched += self._size
+        self._size = min(2 * self._size, _MAX_BLOCK)
+        return self._next()
+
+    def close(self) -> None:
+        """Hand the generator back in the state plain draws would leave."""
+        gen = self._gen
+        if gen is None:
+            return
+        if self._fetched:
+            gen.bit_generator.state = self._state
+            used = self._fetched - self._values.__length_hint__()
+            if used:
+                gen.standard_exponential(used)
+        self._gen = None
+        self._values = iter(())
+        self._next = self._values.__next__
+
+    def __enter__(self) -> "ExponentialDraws":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,8 +47,10 @@ class Model(Enum):
     ADAPTIVE = "adaptive"
 
 
-@dataclass(frozen=True)
-class ChangeEvent:
+class ChangeEvent(NamedTuple):
+    """One realized change; a named tuple, which builds about twice as
+    fast as a frozen dataclass on the per-step path."""
+
     edge: Pair
     kind: Kind
     provenance: Provenance  # diagnostic only; never shown to observers

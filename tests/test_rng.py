@@ -1,8 +1,12 @@
-"""``BlockDraws`` against the installed numpy's own ``Generator``.
+"""``BlockDraws`` and ``ExponentialDraws`` against the installed numpy's
+own ``Generator``.
 
 The decoder reimplements numpy's scalar ``random()`` and ``integers(N)``
-over raw PCG64 words.  If a numpy release changes how it draws, these
-tests fail: the decoder must then follow numpy, and no pin is moved.
+over raw PCG64 words; ``ExponentialDraws`` and the OuMv solver rely on
+numpy's array draws (``standard_exponential(k)``, ``integers(n, size=k)``)
+giving the same values and end state as ``k`` scalar calls.  If a numpy
+release changes how it draws, these tests fail: the code must then
+follow numpy, and no pin is moved.
 """
 
 import numpy as np
@@ -10,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothdyn.rng import BlockDraws, stream
+from smoothdyn.rng import BlockDraws, ExponentialDraws, stream
 
 # Every branch of numpy's bounded-integer draw: no draw (1), 32-bit Lemire
 # with rare and frequent (2**31 + 1) rejection, the plain 32-bit word
@@ -65,3 +69,56 @@ def test_rejects_what_it_cannot_decode():
     draws.close()  # a second close is a no-op
     with pytest.raises(RuntimeError):
         draws.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 600), min_size=1, max_size=4),
+    st.lists(DRAW, max_size=5),
+)
+def test_exponential_draws_match_numpy(seed, counts, between):
+    """Between scopes both sides draw ``random()`` and ``integers(N)``
+    directly, so a scope often opens with the half-word buffer set."""
+    gen, twin = stream(seed), stream(seed)
+    for count in counts:
+        with ExponentialDraws(gen) as draws:
+            got = [draws.standard_exponential() for _ in range(count)]
+        assert got == [twin.standard_exponential() for _ in range(count)]
+        assert gen.bit_generator.state == twin.bit_generator.state
+        assert [_draw(gen, b) for b in between] == [_draw(twin, b) for b in between]
+
+
+def test_exponential_long_run_crosses_refills_and_the_tail():
+    gen, twin = stream(11), stream(11)
+    draws = ExponentialDraws(gen)
+    got = [draws.standard_exponential() for _ in range(120_000)]
+    draws.close()
+    assert got == [twin.standard_exponential() for _ in range(120_000)]
+    assert max(got) > 7.7  # the ziggurat's tail starts at about 7.70
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert gen.integers(435) == twin.integers(435)
+
+
+def test_exponential_draws_close_is_final():
+    gen = stream(0)
+    state = gen.bit_generator.state
+    draws = ExponentialDraws(gen)
+    draws.close()
+    assert gen.bit_generator.state == state  # nothing drawn, nothing moved
+    draws.close()  # a second close is a no-op
+    with pytest.raises(RuntimeError):
+        draws.standard_exponential()
+
+
+@pytest.mark.parametrize("bound", [2, 3, 8, 16, 17, 100, 2**31 + 1, 2**32 - 1])
+def test_array_integers_match_scalar_calls(bound):
+    """``integers(n, size=k)`` is ``k`` scalar ``integers(n)`` calls, the
+    half-word buffer included; the OuMv solver draws AB endpoints so."""
+    gen, twin = stream(bound), stream(bound)
+    for size in (0, 1, 2, 31, 64, 257):
+        gen.random(), twin.random()
+        gen.integers(7), twin.integers(7)  # leaves a buffered half-word
+        assert gen.integers(bound, size=size).tolist() == [
+            int(twin.integers(bound)) for _ in range(size)]
+        assert gen.bit_generator.state == twin.bit_generator.state
