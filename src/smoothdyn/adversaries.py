@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -199,7 +199,6 @@ def run_oblivious_ar_embed(
     p: float,
     budget: int,
     rng: np.random.Generator,
-    initial_state: Optional[Dict[Pair, bool]] = None,
 ) -> EmbedResult:
     """Oblivious add/remove embedding of R' inside R.
 
@@ -212,11 +211,8 @@ def run_oblivious_ar_embed(
     """
     region_pairs = [pair(u, v) for u, v in region]
     flip_list = [pair(u, v) for u, v in flips]
-    if initial_state is None:
-        bits = rng.random(len(region_pairs)) < 0.5
-        state = {e: bool(b) for e, b in zip(region_pairs, bits)}
-    else:
-        state = {e: bool(initial_state[e]) for e in region_pairs}
+    bits = rng.random(len(region_pairs)) < 0.5
+    state = {e: bool(b) for e, b in zip(region_pairs, bits)}
     start = dict(state)
     target = {e: not start[e] for e in flip_list}
     hits = 0

@@ -284,8 +284,6 @@ class SFourCycleCounter:
 
 # -- deciders ------------------------------------------------------------
 
-_YES_PROBLEMS = ("connectivity", "perfect-matching")
-
 
 class TrivialDecider:
     """Constant "yes" decider for dense smoothed inputs.
@@ -295,38 +293,8 @@ class TrivialDecider:
     p <= 1 - 26 log n / n.
     """
 
-    def __init__(self, problem: str):
-        if problem not in _YES_PROBLEMS:
-            raise ValueError(f"unknown problem {problem!r}")
-        self.ops = 0
-
     def update(self, e: Optional[Pair], now_present: bool) -> None:
-        self.ops += 1
+        pass
 
     def query(self) -> bool:
         return True
-
-
-class HybridDecider:
-    """Exact oracle for ``rounds_exact`` rounds, constant answer afterwards.
-
-    The paper's switch round r_p = n * binom(n,2) / (1-p) is
-    astronomically long, so callers pass a scaled-down ``rounds_exact``.
-    """
-
-    def __init__(self, problem: str, p: float, g: DynamicGraph, oracle, rounds_exact: int):
-        if p >= 1.0:
-            raise ValueError("hybrid decider requires p < 1")
-        self.rounds_exact = rounds_exact
-        self.g = g
-        self._oracle = oracle
-        self._trivial = TrivialDecider(problem)
-        self._round = 0
-
-    def update(self, e: Optional[Pair], now_present: bool) -> None:
-        self._round += 1
-
-    def query(self):
-        if self._round < self.rounds_exact:
-            return self._oracle(self.g)
-        return self._trivial.query()

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .counters import (
-    HybridDecider,
     SFourCycleCounter,
     STPath3Counter,
     STPath4Counter,
@@ -40,6 +39,7 @@ from .counters import (
 )
 from .graph import DynamicGraph, pair, pair_count, random_graph
 from .oracles import (
+    ENUM_CAP,
     bf_bipartite_matching,
     bf_connected,
     bf_s_cycles,
@@ -47,6 +47,7 @@ from .oracles import (
     bf_two_paths,
 )
 from .reduction import (
+    P3Layout,
     exact_st3_counter_factory,
     f2_oumv_oracle,
     int_oumv_oracle,
@@ -132,14 +133,18 @@ class ExperimentConfig:
         """:meth:`validate`, then reject what ``command`` cannot run as stated."""
         self.validate()
         if command == "simulate":
-            if self.problem == "connectivity-hybrid" and self.p >= 1.0:
-                raise ValueError("connectivity-hybrid requires p < 1")
             if self.problem == "perfect-matching-trivial" and self.n % 2:
                 raise ValueError(f"perfect-matching-trivial needs an even n, got {self.n}")
+            if self.problem in _ENUMERATED and self.n > ENUM_CAP:
+                raise ValueError(f"{self.problem}'s oracle takes n <= {ENUM_CAP}, got {self.n}")
         elif command == "bench" and not self.p_grid:
             raise ValueError("bench requires --p-grid or a p_grid in the config")
-        elif command == "reduce" and self.mode == "sol" and self.p <= 0.0:
-            raise ValueError("reduce --mode sol requires p > 0")
+        elif command == "reduce":
+            if self.mode == "sol" and self.p <= 0.0:
+                raise ValueError("reduce --mode sol requires p > 0")
+            nodes = P3Layout(self.n).n_nodes
+            if self.mode != "omv-chain" and nodes > ENUM_CAP:
+                raise ValueError(f"{self.mode}'s oracle takes <= {ENUM_CAP} nodes, got {nodes}")
         return self
 
 
@@ -231,14 +236,8 @@ def _counter_query(problem: str, counter) -> object:
     return counter.query()
 
 
-def _connectivity(config: ExperimentConfig, init_rng, hybrid: bool = False):
-    g = random_graph(config.n, init_rng)
-    if hybrid:
-        exact = config.T // 2
-        decider = HybridDecider("connectivity", config.p, g, bf_connected, rounds_exact=exact)
-    else:
-        decider = TrivialDecider("connectivity")
-    return g, decider, bf_connected, None
+def _connectivity(config: ExperimentConfig, init_rng):
+    return random_graph(config.n, init_rng), TrivialDecider(), bf_connected, None
 
 
 def _perfect_matching(config: ExperimentConfig, init_rng):
@@ -248,17 +247,17 @@ def _perfect_matching(config: ExperimentConfig, init_rng):
     restriction = tuple(pair(u, v) for u in left for v in right)
     g = random_graph(2 * side, init_rng, restriction=restriction)
     oracle = lambda g: bf_bipartite_matching(g, left, right)[1]
-    return g, TrivialDecider("perfect-matching"), oracle, restriction
+    return g, TrivialDecider(), oracle, restriction
 
 
 # problem -> setup(config, init_rng) -> (graph, decider, oracle, restriction)
 _DECIDERS: Dict[str, Callable] = {
     "connectivity-trivial": _connectivity,
     "perfect-matching-trivial": _perfect_matching,
-    "connectivity-hybrid": lambda config, rng: _connectivity(config, rng, hybrid=True),
 }
 
 PROBLEMS = (*_COUNTER_SPECS, *_DECIDERS)
+_ENUMERATED = ("st3", "st4", "s-triangle", "s-4-cycle")  # oracles capped at ENUM_CAP nodes
 
 
 def simulate_trial(config: ExperimentConfig, trial: int) -> List[MetricRow]:

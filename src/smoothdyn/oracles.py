@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 from .graph import DynamicGraph
 
-_ENUM_CAP = 64
+ENUM_CAP = 64
 
 
 class OracleCapError(ValueError):
@@ -21,8 +21,8 @@ class OracleCapError(ValueError):
 
 
 def _check_cap(g: DynamicGraph) -> None:
-    if g.n > _ENUM_CAP:
-        raise OracleCapError(f"enumeration oracle capped at n<={_ENUM_CAP}, got n={g.n}")
+    if g.n > ENUM_CAP:
+        raise OracleCapError(f"enumeration oracle capped at n<={ENUM_CAP}, got n={g.n}")
 
 
 def bf_st_paths(g: DynamicGraph, s: int, t: int, k: int) -> int:

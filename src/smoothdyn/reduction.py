@@ -184,19 +184,6 @@ class ChangeDistribution:
         """(lam_side, lam_ab): rates of a side edge's parity batch and a copy's AB batch."""
         return self.q_side * t_param, (1.0 - self.p) * self.n / (self.n + 2) * t_param / 2.0
 
-    def sample_edge(self, layout: P3Layout, rng: np.random.Generator) -> Pair:
-        n = self.n
-        if rng.random() < self.p:
-            k = int(rng.integers(2 * n))
-            return layout.sa_edge(k) if k < n else layout.bt_edge(k - n)
-        k = int(rng.integers(n * (n + 2)))
-        if k < n:
-            return layout.sa_edge(k)
-        if k < 2 * n:
-            return layout.bt_edge(k - n)
-        k -= 2 * n
-        return layout.ab_edge(k // n, k % n)
-
 
 def rounds_parameter(n: int, p: float) -> int:
     """t = ceil(5 n ln(n) / p); natural log."""
@@ -447,7 +434,6 @@ def dadvp_verify_histogram(
     n: int,
     samples: int,
     rng: np.random.Generator,
-    t_param: Optional[int] = None,
 ) -> HistogramFit:
     """Compare synthesized reduction sequences against genuine ones.
 
@@ -457,8 +443,7 @@ def dadvp_verify_histogram(
     from the adversarial process.  Compares edge-type occupancy and total
     sequence length by chi-square.
     """
-    if t_param is None:
-        t_param = rounds_parameter(n, p)
+    t_param = rounds_parameter(n, p)
     dist = ChangeDistribution(p, n)
     lam_side, lam_ab = dist.poisson_rates(t_param)
     p_side_total = 2 * n * dist.q_side

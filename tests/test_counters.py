@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothdyn.counters import (
-    HybridDecider,
     InvariantError,
     SFourCycleCounter,
     STPath3Counter,
@@ -15,7 +14,6 @@ from smoothdyn.counters import (
 )
 from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph, uniform_pair
 from smoothdyn.oracles import (
-    bf_connected,
     bf_s_cycles,
     bf_st_paths,
     bf_two_paths,
@@ -226,20 +224,7 @@ def test_worst_case_s_flips_stay_linear():
 
 
 def test_trivial_decider_answers():
-    assert TrivialDecider("connectivity").query() is True
-    assert TrivialDecider("perfect-matching").query() is True
-    with pytest.raises(ValueError):
-        TrivialDecider("max-matching")
-    with pytest.raises(ValueError):
-        TrivialDecider("chromatic-number")
-
-
-def test_hybrid_decider_phases():
-    g = DynamicGraph(4, [(0, 1)])  # disconnected
-    decider = HybridDecider("connectivity", 0.5, g, bf_connected, rounds_exact=3)
-    assert decider.query() is False  # exact phase sees the truth
-    for _ in range(3):
-        decider.update((0, 1), True)
-    assert decider.query() is True  # constant phase
-    with pytest.raises(ValueError):
-        HybridDecider("connectivity", 1.0, g, bf_connected, rounds_exact=3)
+    decider = TrivialDecider()
+    assert decider.query() is True
+    decider.update((0, 1), True)
+    assert decider.query() is True

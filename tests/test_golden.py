@@ -101,9 +101,6 @@ SIMULATE_DIGESTS = {
     ("perfect-matching-trivial", "oblivious-flip"): "f996efe6d37e4691",
     ("perfect-matching-trivial", "oblivious-ar"): "6be03f9dec49dbf7",
     ("perfect-matching-trivial", "adaptive"): "4169fc4a9c9cd111",
-    ("connectivity-hybrid", "oblivious-flip"): "17514ac47ce3f8d6",
-    ("connectivity-hybrid", "oblivious-ar"): "22fc525e25bfe468",
-    ("connectivity-hybrid", "adaptive"): "e3ba190c92ea9b2d",
 }
 
 

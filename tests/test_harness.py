@@ -17,6 +17,7 @@ from smoothdyn.harness import (
     simulate_trial,
     write_metrics,
 )
+from smoothdyn.oracles import ENUM_CAP
 
 
 def test_config_from_file_and_validation(tmp_path):
@@ -116,9 +117,6 @@ def test_simulate_deciders():
     )
     rows = cmd_simulate(cfg)
     assert all(r.value == 0.0 for r in rows if r.metric == "error_rate")
-    cfg = ExperimentConfig(
-        problem="connectivity-hybrid", n=40, p=0.5, T=400, trials=2, seed=3
-    )
     rows = cmd_simulate(cfg)
     assert all(r.value == 0.0 for r in rows if r.metric == "error_rate")
     with pytest.raises(ValueError, match="unknown simulate problem"):
@@ -138,7 +136,7 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("problem", ["st4", "connectivity-hybrid"])
+@pytest.mark.parametrize("problem", ["st4", "connectivity-trivial"])
 def test_simulate_threads_keep_csv_bytes(problem):
     """Worker processes change neither the rows nor their order."""
     cfg = dict(problem=problem, model="oblivious-ar", n=10, p=0.4, T=60, trials=3, seed=2)
@@ -260,9 +258,16 @@ def test_cli_bad_config_errors(tmp_path):
         ["reduce", "-n", "1"],
         ["reduce", "--mode", "omv-chain", "-n", "1"],
         ["reduce", "--mode", "p3general", "-n", "1"],
-        ["simulate", "--problem", "connectivity-hybrid", "-p", "1"],
+        ["simulate", "--problem", "connectivity-hybrid"],
         ["reduce", "--mode", "sol", "-p", "0"],
         ["simulate", "--problem", "perfect-matching-trivial", "-n", "3"],
+        # above the enumeration oracles' node cap
+        ["simulate", "--problem", "st3", "-n", "70"],
+        ["simulate", "--problem", "st4", "-n", "70"],
+        ["simulate", "--problem", "s-triangle", "-n", "70"],
+        ["simulate", "--problem", "s-4-cycle", "-n", "70"],
+        ["reduce", "--mode", "sol", "-n", "32"],  # 2n + 2 = 66 nodes
+        ["reduce", "--mode", "p3general", "-n", "32"],
         # a reduce mode rejects the flags it does not read
         ["reduce", "--mode", "omv-chain", "-p", "0.9", "-T", "77", "-n", "3", "--trials", "2"],
         ["reduce", "--mode", "omv-chain", "-p", "0.9"],
@@ -276,3 +281,15 @@ def test_cli_rejects_flags_the_command_does_not_honour(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+
+
+def test_sizes_within_the_oracle_cap_pass_validation():
+    for command, fields in [
+        ("simulate", dict(problem="st3", n=ENUM_CAP)),
+        ("simulate", dict(problem="st2", n=ENUM_CAP + 6)),  # st2's oracle has no cap
+        ("simulate", dict(problem="connectivity-trivial", n=200)),
+        ("reduce", dict(mode="sol", n=(ENUM_CAP - 2) // 2)),  # 2n + 2 = ENUM_CAP nodes
+        ("reduce", dict(mode="omv-chain", n=ENUM_CAP + 6)),
+        ("bench", dict(n=2000, p_grid=[0.5])),
+    ]:
+        ExperimentConfig(**fields).validate_for(command)

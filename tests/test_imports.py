@@ -1,12 +1,16 @@
-"""Every module-level import in ``smoothdyn`` is used by its module, and
-every public module-level ``def`` or ``class`` is used somewhere.
+"""Every module-level import in ``smoothdyn`` is used by its module,
+every public module-level ``def`` or ``class`` is used somewhere, and
+every defaulted parameter is passed somewhere.
 
-Two ``ast`` scans.  Imports: each name a top-level ``import`` or
+Three ``ast`` scans.  Imports: each name a top-level ``import`` or
 ``from ... import`` binds must appear as a ``Name`` (which also covers the
 base of every ``Attribute`` chain such as ``np.random``) somewhere in the
 module.  Public names: each must appear as a ``Name`` or an attribute
 outside its own body, in some ``smoothdyn`` module, in the benchmark's
 workload code or in the acceptance suite; the unit tests do not count.
+Parameters: each defaulted parameter of a ``def`` or method must be
+passed, by keyword or by position, by some call of that name in the same
+files.
 """
 
 import ast
@@ -42,6 +46,17 @@ UNREFERENCED_KEPT = {
     "bf_min_vertex_cover_bipartite",
     # inverse of index_pair
     "pair_index",
+}
+
+# Defaulted parameters that no counted call passes, each kept for a use.
+UNPASSED_KEPT = {
+    # the p = 0 embedding test runs without the feasibility check
+    ("run_adaptive_embed", "check_feasible"),
+    # the CLI tests' entry point
+    ("main", "argv"),
+    # the reduction's configurable abort
+    ("run_p3_to_general", "interior_budget"),
+    ("run_p3_to_general", "cap_factor"),
 }
 
 
@@ -88,6 +103,50 @@ def _refers(tree: ast.AST, definition: ast.AST) -> bool:
     return False
 
 
+def unpassed_parameters(modules: dict, users: dict) -> list:
+    """(module, def, parameter) of each defaulted parameter of a ``def`` or
+    method in ``modules`` that no call in ``modules`` or ``users`` (both
+    path -> source) passes.  A call matches by the called name, the class
+    name for ``__init__``; a ``*args`` or ``**kwargs`` argument passes
+    every parameter it could reach."""
+    trees = {path: ast.parse(source) for path, source in {**modules, **users}.items()}
+    positions, keywords = {}, {}  # called name -> most positions / keyword names passed
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            count = float("inf") if starred else len(call.args)
+            positions[name] = max(positions.get(name, 0), count)
+            # a **kwargs argument shows up as the keyword None
+            keywords.setdefault(name, set()).update(kw.arg for kw in call.keywords)
+    unpassed = []
+    for path in modules:
+        for owner in ast.walk(trees[path]):
+            if not isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                continue
+            for fn in (node for node in owner.body if isinstance(node, ast.FunctionDef)):
+                method = isinstance(owner, ast.ClassDef)
+                name = owner.name if method and fn.name == "__init__" else fn.name
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                args = fn.args.posonlyargs + fn.args.args
+                args = args[1:] if method and not static else args
+                first = len(args) - len(fn.args.defaults)
+                defaulted = [(i, args[i].arg) for i in range(first, len(args))]
+                defaulted += [
+                    (None, arg.arg)
+                    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if default is not None
+                ]
+                passed = keywords.get(name, set())
+                for i, param in defaulted:
+                    by_position = i is not None and positions.get(name, 0) > i
+                    if not (by_position or param in passed or None in passed):
+                        unpassed.append((Path(path).name, fn.name, param))
+    return unpassed
+
+
 def test_scan_finds_unused_names():
     source = "import os\nimport numpy as np\nfrom typing import List, Tuple\nx: List = np.zeros(1)\n"
     assert unused_imports(source) == [(1, "os"), (3, "Tuple")]
@@ -116,3 +175,26 @@ def test_every_public_name_is_referenced():
     assert [(m, name) for m, name in found if name not in UNREFERENCED_KEPT] == []
     # a kept name that gains a caller leaves the keep-list
     assert sorted(UNREFERENCED_KEPT) == sorted(name for _, name in found)
+
+
+def test_scan_finds_unpassed_parameters():
+    modules = {
+        "a.py": "def f(x, y=1, z=2, *, w=3):\n    pass\n\n"
+        "class C:\n    def __init__(self, k=0):\n        pass\n\n"
+        "    def m(self, j=0):\n        pass\n\n"
+        "f(0, 5)\nC().m(1)\n",
+    }
+    assert unpassed_parameters(modules, {}) == [
+        ("a.py", "f", "z"), ("a.py", "f", "w"), ("a.py", "__init__", "k")
+    ]
+    users = {"user.py": "f(0, w=4)\nC(k=1)\nf(*args)\n"}
+    assert unpassed_parameters(modules, users) == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    modules = {path: path.read_text() for path in MODULES}
+    users = {path: path.read_text() for path in USERS}
+    found = {(fn, param) for _, fn, param in unpassed_parameters(modules, users)}
+    assert found - UNPASSED_KEPT == set()
+    # a kept parameter that gains a caller leaves the keep-list
+    assert UNPASSED_KEPT == found

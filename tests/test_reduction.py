@@ -116,21 +116,6 @@ def test_change_distribution_exact_normalization(p, n):
     assert ChangeDistribution(p, n).total_mass() == 1
 
 
-def test_change_distribution_sampling():
-    n, p = 4, 0.5
-    dist = ChangeDistribution(p, n)
-    assert abs(dist.total_mass() - 1.0) < 1e-12
-    lay = P3Layout(n)
-    rng = trial_stream(4, 0)
-    counts = {"sA": 0, "Bt": 0, "AB": 0}
-    draws = 30000
-    for _ in range(draws):
-        counts[lay.classify(dist.sample_edge(lay, rng))] += 1
-    assert abs(counts["sA"] / draws - n * dist.q_side) < 0.01
-    assert abs(counts["Bt"] / draws - n * dist.q_side) < 0.01
-    assert abs(counts["AB"] / draws - n * n * dist.q_mid) < 0.01
-
-
 @pytest.mark.parametrize("p", [0.0, 1 / 3, 0.9])
 @pytest.mark.parametrize("n", [2, 16])
 def test_poisson_rates_match_the_solver_formulas_bit_for_bit(p, n):
