@@ -9,6 +9,7 @@ from dataclasses import fields
 from typing import List, Optional
 
 from .harness import (
+    COMMAND_READS,
     MODELS,
     PROBLEMS,
     REDUCE_MODES,
@@ -45,28 +46,25 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int)
 
 
-# config fields every reduce mode honours besides those it computes from
-_OUTPUT_FIELDS = {"mode", "out", "timings_out"}
-
-
 def _p_grid(text: str) -> List[float]:
     return [float(x) for x in text.split(",")]
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = (
-        ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    )
+    """Config-file fields overridden by flags; each must be valid and read."""
+    from_file = ExperimentConfig.read_fields(args.config) if args.config else {}
     known = {f.name for f in fields(ExperimentConfig)}
     overrides = {
         key: value for key, value in vars(args).items() if key in known and value is not None
     }
-    config = config.override(**overrides).validate_for(args.command)
+    config = ExperimentConfig(**from_file).override(**overrides).validate_for(args.command)
     if args.command == "reduce":
-        unread = set(overrides) - REDUCE_MODES[config.mode].reads - _OUTPUT_FIELDS
-        if unread:
-            flags = ", ".join(("-" if len(key) == 1 else "--") + key for key in sorted(unread))
-            raise ValueError(f"reduce --mode {config.mode} does not read {flags}")
+        command, reads = f"reduce --mode {config.mode}", REDUCE_MODES[config.mode].reads | {"mode"}
+    else:
+        command, reads = args.command, COMMAND_READS[args.command]
+    unread = sorted((from_file.keys() | overrides.keys()) - reads - {"out", "timings_out"})
+    if unread:
+        raise ValueError(f"{command} does not read the field(s) {', '.join(unread)}")
     return config
 
 
@@ -83,7 +81,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sim.add_argument("--model", choices=MODELS)
     sim.add_argument("-p", type=float, dest="p")
     sim.add_argument("--query-every", type=int, dest="query_every")
-    sim.add_argument("--threads", type=int, help="worker processes for trials")
     sim.set_defaults(run=lambda config: (cmd_simulate(config), True))
 
     bench = subs.add_parser("bench", help="amortized update-cost profile over a p grid")

@@ -170,11 +170,8 @@ def random_graph(
     present iff its draw is < 0.5.
     """
     if restriction is not None:
-        allowed = list(restriction)
-        if not allowed:
-            return DynamicGraph(n)
-        mask = rng.random(len(allowed)) < 0.5
-        return DynamicGraph(n, [e for e, keep in zip(allowed, mask) if keep])
+        mask = rng.random(len(restriction)) < 0.5
+        return DynamicGraph(n, [e for e, keep in zip(restriction, mask) if keep])
     mask = rng.random(pair_count(n)) < 0.5
     # row-major np.triu_indices order is pair_index order
     us, vs = np.triu_indices(n, 1)

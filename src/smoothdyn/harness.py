@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import (
@@ -58,12 +57,11 @@ from .reduction import (
     worstcase_to_average_split,
 )
 from .smoothing import (
+    FlipSimulatingARAdversary,
     Model,
     SmoothedSource,
     SmoothingParams,
     StarFlipAdversary,
-    UniformAdaptiveAdversary,
-    UniformAddRemoveAdversary,
     UniformFlipAdversary,
     run_sequence,
 )
@@ -82,11 +80,11 @@ class ExperimentConfig:
     query_every: int = 0  # 0 -> T // 10
     out: Optional[str] = None
     timings_out: Optional[str] = None
-    threads: int = 1
     mode: str = "sol"  # for cmd_reduce
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
+    def read_fields(cls, path: str) -> Dict[str, object]:
+        """The fields a JSON config file sets; each must be a known field."""
         with open(path) as fp:
             try:
                 data = json.load(fp)
@@ -98,7 +96,7 @@ class ExperimentConfig:
         for key in data:
             if key not in known:
                 raise ValueError(f"{path}: unknown config field {key!r}")
-        return cls(**data)
+        return data
 
     def override(self, **kwargs) -> "ExperimentConfig":
         for key, value in kwargs.items():
@@ -108,11 +106,11 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Reject field types, names and ranges the commands cannot run."""
-        for name in ("n", "T", "trials", "seed", "query_every", "threads"):
+        for name in ("n", "T", "trials", "seed", "query_every"):
             value = getattr(self, name)
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name, low in (("n", 2), ("T", 1), ("trials", 1), ("query_every", 0), ("threads", 1)):
+        for name, low in (("n", 2), ("T", 1), ("trials", 1), ("query_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.p_grid is not None and not (isinstance(self.p_grid, list) and self.p_grid):
@@ -184,12 +182,6 @@ def write_metrics(rows: Sequence[MetricRow], fp: IO[str]) -> None:
 
 MODELS = tuple(m.value for m in Model)
 
-_ADVERSARIES = {
-    Model.OBLIVIOUS_FLIP: UniformFlipAdversary,
-    Model.OBLIVIOUS_AR: UniformAddRemoveAdversary,
-    Model.ADAPTIVE: UniformAdaptiveAdversary,
-}
-
 
 def make_model_source(
     model_name: str,
@@ -198,11 +190,12 @@ def make_model_source(
     seed: int,
     trial: int,
 ) -> SmoothedSource:
-    adv_rng = rngmod.adversary_stream(seed, trial)
-    smooth_rng = rngmod.smoothing_stream(seed, trial)
     model = Model(model_name)
-    adv = _ADVERSARIES[model](n, adv_rng, params.restriction)
-    return SmoothedSource(model, params, adv, n, rng=smooth_rng)
+    draws = rngmod.BlockDraws(rngmod.adversary_stream(seed, trial))
+    adv = UniformFlipAdversary(n, draws, params.restriction)
+    if model is Model.OBLIVIOUS_AR:  # the pair first, then the Add/Remove coin
+        adv = FlipSimulatingARAdversary(adv, draws)
+    return SmoothedSource(model, params, adv, n, rng=rngmod.smoothing_stream(seed, trial))
 
 
 _COUNTER_SPECS: Dict[str, Tuple[Callable, Callable]] = {
@@ -294,13 +287,7 @@ def simulate_trial(config: ExperimentConfig, trial: int) -> List[MetricRow]:
 
 def cmd_simulate(config: ExperimentConfig) -> List[MetricRow]:
     config.validate_for("simulate")
-    trials = range(config.trials)
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(simulate_trial, [config] * config.trials, trials))
-    else:
-        results = [simulate_trial(config, trial) for trial in trials]
-    return [row for per_trial in results for row in per_trial]  # ordered by trial index
+    return [row for trial in range(config.trials) for row in simulate_trial(config, trial)]
 
 
 def expensive_frac_prediction(p: float, n: int) -> float:
@@ -387,6 +374,13 @@ REDUCE_MODES: Dict[str, ReduceMode] = {
         "p3general", _reduce_p3general, frozenset({"n", "p", "T", "trials", "seed"})
     ),
     "omv-chain": ReduceMode("omv-chain", _reduce_omv_chain, frozenset({"n", "trials", "seed"})),
+}
+
+# the config fields simulate and bench read (reduce: its mode's), besides
+# the output paths every command takes
+COMMAND_READS: Dict[str, FrozenSet[str]] = {
+    "simulate": frozenset({"problem", "model", "n", "p", "T", "trials", "seed", "query_every"}),
+    "bench": frozenset({"n", "p_grid", "T", "trials", "seed"}),
 }
 
 

@@ -102,14 +102,26 @@ def bf_bipartite_matching(
     match_of = {}  # right node -> matched left node
     matched_left = set()
 
-    def augment(u: int, seen: set) -> bool:
-        for v in g.neighbors(u):
-            if v in seen:
+    def augment(root: int) -> bool:
+        # depth first on an explicit stack, since a path can outgrow Python's
+        # recursion limit; via[i] is the right node from stack[i] to stack[i + 1]
+        seen = set()
+        stack = [(root, iter(g.neighbors(root)))]
+        via: List[int] = []
+        while stack:
+            v = next((w for w in stack[-1][1] if w not in seen), None)
+            if v is None:
+                stack.pop()
+                if via:
+                    via.pop()
                 continue
             seen.add(v)
-            if v not in match_of or augment(match_of[v], seen):
-                match_of[v] = u
+            if v not in match_of:
+                for (u, _), w in zip(stack, via + [v]):
+                    match_of[w] = u
                 return True
+            via.append(v)
+            stack.append((match_of[v], iter(g.neighbors(match_of[v]))))
         return False
 
     # greedy warm start, then augment the rest
@@ -121,7 +133,7 @@ def bf_bipartite_matching(
                 break
     size = len(match_of)
     for u in left:
-        if u not in matched_left and augment(u, set()):
+        if u not in matched_left and augment(u):
             size += 1
     perfect = size == min(len(left), len(right)) and len(left) == len(right)
     return size, perfect

@@ -23,12 +23,11 @@ from itertools import combinations
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .counters import InvariantError, STPath3Counter
 from .graph import DynamicGraph, Pair, pair, random_graph, uniform_pair
 from .oracles import bf_st_paths
-from .rng import ExponentialDraws
+from .rng import BlockDraws, ExponentialDraws
 from .smoothing import Model, SmoothedSource, SmoothingParams, UniformFlipAdversary, notify_and_flip
 
 
@@ -411,6 +410,14 @@ class HistogramFit:
     length_pvalue: float
 
 
+def _chi2_pvalue(table: np.ndarray) -> float:
+    # imported here: scipy.stats takes about 1 s and 60 MiB to load, and
+    # only the histogram check uses it
+    from scipy import stats
+
+    return float(stats.chi2_contingency(table).pvalue)
+
+
 def _two_sample_chi2_pvalue(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample chi-square on integer samples, shared adaptive bins."""
     combined = np.concatenate([a, b])
@@ -426,7 +433,7 @@ def _two_sample_chi2_pvalue(a: np.ndarray, b: np.ndarray) -> float:
     table = np.vstack([ca[keep], cb[keep]])
     if table.shape[1] < 2:
         return 1.0
-    return float(stats.chi2_contingency(table).pvalue)
+    return _chi2_pvalue(table)
 
 
 def dadvp_verify_histogram(
@@ -470,7 +477,7 @@ def dadvp_verify_histogram(
             synth[i] = (n_sa, n_bt, n_ab)
     totals = np.vstack([genuine.sum(axis=0), synth.sum(axis=0)])
     cols = totals.sum(axis=0) > 0
-    type_p = float(stats.chi2_contingency(totals[:, cols]).pvalue) if cols.sum() > 1 else 1.0
+    type_p = _chi2_pvalue(totals[:, cols]) if cols.sum() > 1 else 1.0
     length_p = _two_sample_chi2_pvalue(genuine.sum(axis=1), synth.sum(axis=1))
     return HistogramFit(totals, type_p, length_p)
 
@@ -619,7 +626,7 @@ def run_p3_to_general(
     restriction = tuple(layout.interior_edges())
     params = SmoothingParams(p, restriction=restriction)
     adversary = UniformFlipAdversary(
-        layout.n_nodes, rng.spawn(1)[0], restriction=restriction
+        layout.n_nodes, BlockDraws(rng.spawn(1)[0]), restriction=params.restriction
     )
     source = SmoothedSource(
         Model.OBLIVIOUS_FLIP, params, adversary, layout.n_nodes, rng=rng.spawn(1)[0]

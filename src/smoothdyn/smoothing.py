@@ -64,8 +64,10 @@ class SmoothingParams:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p={self.p} outside [0,1]")
-        if self.restriction is not None and len(self.restriction) == 0:
-            raise ValueError("restriction, when present, must be nonempty")
+        if self.restriction is not None:  # stored once, as a tuple of canonical pairs
+            object.__setattr__(self, "restriction", tuple(pair(u, v) for u, v in self.restriction))
+            if not self.restriction:
+                raise ValueError("restriction, when present, must be nonempty")
 
 
 class ContractViolation(RuntimeError):
@@ -93,12 +95,8 @@ class SmoothedSource:
         self.n = n
         self._draws = BlockDraws(rng)
         self._step = 0
-        if params.restriction is not None:
-            self._allowed: Optional[List[Pair]] = [pair(u, v) for u, v in params.restriction]
-            self._allowed_set = frozenset(self._allowed)
-        else:
-            self._allowed = None
-            self._allowed_set = None
+        self._allowed = params.restriction
+        self._allowed_set = None if params.restriction is None else frozenset(params.restriction)
 
     def _check(self, e: Pair) -> Pair:
         e = pair(*e)
@@ -148,7 +146,7 @@ def smooth_initial(
     ``resample[i]``.
     """
     if params.restriction is not None:
-        allowed: Sequence[Pair] = [pair(u, v) for u, v in params.restriction]
+        allowed: Sequence[Pair] = params.restriction
         allowed_set = set(allowed)
         for e in h0.edges():
             if e not in allowed_set:
@@ -262,28 +260,17 @@ class LazyFlipAdapter:
 
 
 class UniformFlipAdversary:
-    """Oblivious flip proposals drawn uniformly from the allowed set; owns
-    ``rng`` through a :class:`~smoothdyn.rng.BlockDraws`."""
+    """The uniform strategy of every model: ``propose`` ignores its argument
+    (the step, or the adaptive model's graph) and draws from ``draws`` a
+    uniform pair of ``restriction``, indexed as given, else of all pairs."""
 
-    def __init__(self, n: int, rng: np.random.Generator, restriction=None):
+    def __init__(self, n: int, draws, restriction: Optional[Sequence[Pair]] = None):
         self.n = n
-        self._draws = BlockDraws(rng)
-        self._allowed = [pair(u, v) for u, v in restriction] if restriction else None
+        self._draws = draws
+        self._allowed = restriction
 
-    def propose(self, step: int) -> Pair:
+    def propose(self, _) -> Pair:
         return uniform_pair(self.n, self._draws, self._allowed)
-
-
-class UniformAdaptiveAdversary(UniformFlipAdversary):
-    """Adaptive handle with the uniform strategy: ``propose(graph)`` ignores
-    the graph exactly as the oblivious one ignores the step."""
-
-
-class UniformAddRemoveAdversary(UniformFlipAdversary):
-    def propose(self, step: int) -> Tuple[Pair, Kind]:  # type: ignore[override]
-        e = uniform_pair(self.n, self._draws, self._allowed)
-        kind = Kind.ADD if self._draws.random() < 0.5 else Kind.REMOVE
-        return e, kind
 
 
 class ScriptedFlipAdversary:
@@ -314,13 +301,13 @@ class FlipSimulatingARAdversary:
     Copies the wrapped flip strategy's edge choice each step and picks
     Add or Remove by a fair private coin; the realized process is then a
     lazy flip process with parameter ``p_prime(p) = p/(2-p)`` (each step
-    is null with probability p/2).  Owns ``rng`` through a
-    :class:`~smoothdyn.rng.BlockDraws`.
+    is null with probability p/2).  The coin comes from ``draws``, after
+    the wrapped proposal, which may draw from the same ``draws``.
     """
 
-    def __init__(self, flip_adversary, rng: np.random.Generator):
+    def __init__(self, flip_adversary, draws):
         self._flip_adversary = flip_adversary
-        self._draws = BlockDraws(rng)
+        self._draws = draws
 
     def propose(self, step: int) -> Tuple[Pair, Kind]:
         e = self._flip_adversary.propose(step)

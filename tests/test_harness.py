@@ -23,16 +23,16 @@ from smoothdyn.oracles import ENUM_CAP
 def test_config_from_file_and_validation(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": "st4", "n": 15, "p": 0.3, "trials": 2}))
-    cfg = ExperimentConfig.from_file(str(path))
+    cfg = ExperimentConfig(**ExperimentConfig.read_fields(str(path)))
     assert cfg.problem == "st4" and cfg.n == 15 and cfg.p == 0.3
 
     path.write_text(json.dumps({"banana": 1}))
     with pytest.raises(ValueError, match="unknown config field"):
-        ExperimentConfig.from_file(str(path))
+        ExperimentConfig.read_fields(str(path))
 
     path.write_text("{broken")
     with pytest.raises(ValueError, match="invalid config JSON"):
-        ExperimentConfig.from_file(str(path))
+        ExperimentConfig.read_fields(str(path))
 
     with pytest.raises(ValueError):
         ExperimentConfig(p=1.5).validate()
@@ -52,7 +52,6 @@ BAD_CONFIGS = [
     {"T": -1},
     {"T": 0},
     {"query_every": -1},
-    {"threads": 0},
     {"n": "10"},
     {"n": 10.0},
     {"trials": True},
@@ -79,7 +78,7 @@ def test_config_rejects_non_object_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="object"):
-        ExperimentConfig.from_file(str(path))
+        ExperimentConfig.read_fields(str(path))
 
 
 def test_config_override_skips_none():
@@ -128,20 +127,6 @@ def test_simulate_trial_determinism():
     a = [r.as_list() for r in simulate_trial(cfg, 0)]
     b = [r.as_list() for r in simulate_trial(cfg, 0)]
     assert a == b
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    write_metrics(rows, buf)
-    return buf.getvalue()
-
-
-@pytest.mark.parametrize("problem", ["st4", "connectivity-trivial"])
-def test_simulate_threads_keep_csv_bytes(problem):
-    """Worker processes change neither the rows nor their order."""
-    cfg = dict(problem=problem, model="oblivious-ar", n=10, p=0.4, T=60, trials=3, seed=2)
-    serial = _csv_text(cmd_simulate(ExperimentConfig(threads=1, **cfg)))
-    assert _csv_text(cmd_simulate(ExperimentConfig(threads=2, **cfg))) == serial
 
 
 def test_bench_prediction_and_ratio():
@@ -249,6 +234,7 @@ def test_cli_bad_config_errors(tmp_path):
         ["reduce", "--model", "adaptive"],
         ["reduce", "--query-every", "5"],
         ["reduce", "--threads", "4"],
+        ["simulate", "--threads", "2"],
         ["simulate", "--problem", "bogus"],
         ["simulate", "--model", "bogus"],
         ["reduce", "--mode", "bogus"],
@@ -281,6 +267,50 @@ def test_cli_rejects_flags_the_command_does_not_honour(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, fields, message",
+    [
+        (
+            ["bench", "--p-grid", "0.5"],
+            {"p": 0.3, "mode": "sol", "problem": "st4"},
+            "bench does not read the field(s) mode, p, problem",
+        ),
+        (["reduce", "--mode", "sol"], {"T": 7}, "reduce --mode sol does not read the field(s) T"),
+        (
+            ["reduce", "--mode", "omv-chain", "-T", "5"],
+            {"n": 3, "p": 0.9},
+            "reduce --mode omv-chain does not read the field(s) T, p",
+        ),
+        (["simulate"], {"p_grid": [0.5]}, "simulate does not read the field(s) p_grid"),
+        (["simulate"], {"mode": "sol"}, "simulate does not read the field(s) mode"),
+    ],
+)
+def test_cli_rejects_config_fields_the_command_does_not_read(
+    argv, fields, message, tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg)])
+    assert exc.value.code == 2 and capsys.readouterr().err.rstrip().endswith(message)
+
+
+def test_cli_runs_a_config_of_fields_the_command_reads(tmp_path):
+    out = tmp_path / "rows.csv"
+    for argv, fields in [
+        (["simulate"], dict(problem="st3", model="adaptive", n=8, p=0.5, T=20, trials=1,
+                            seed=1, query_every=5, out=str(out), timings_out=None)),
+        (["bench"], dict(n=20, p_grid=[0.5], T=20, trials=1, seed=1, out=str(out))),
+        (["reduce"], dict(mode="sol", n=3, p=0.5, trials=1, seed=1, out=str(out))),
+        (["reduce"], dict(mode="p3general", n=3, p=0.5, T=20, trials=1, out=str(out))),
+    ]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert out.read_text().startswith(",".join(CSV_HEADER))
+        out.unlink()
 
 
 def test_sizes_within_the_oracle_cap_pass_validation():

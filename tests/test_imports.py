@@ -14,6 +14,9 @@ files.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,7 +34,6 @@ UNREFERENCED_KEPT = {
     # the model-hierarchy experiment (ROADMAP)
     "multiphase_embed",
     "LazyFlipAdapter",
-    "FlipSimulatingARAdversary",
     "p_prime",
     # simulate's adversarial start, --h0 (ROADMAP)
     "smooth_initial",
@@ -198,3 +200,14 @@ def test_every_defaulted_parameter_is_passed():
     assert found - UNPASSED_KEPT == set()
     # a kept parameter that gains a caller leaves the keep-list
     assert UNPASSED_KEPT == found
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes about a second to load; only the histogram check
+    imports it, when it runs."""
+    src = str(Path(smoothdyn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, smoothdyn.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

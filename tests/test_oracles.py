@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,22 @@ def test_bipartite_matching_basics():
     assert bf_bipartite_matching(DynamicGraph(6), left, right) == (0, False)
     with pytest.raises(ValueError):
         bf_bipartite_matching(DynamicGraph(6, [(0, 1)]), left, right)
+
+
+def test_bipartite_matching_augments_past_the_recursion_limit():
+    """A chain L_0 R_0 ... whose greedy start matches each L_i (i < k) to
+    R_{i+1} leaves L_k the augmenting path L_k R_k L_{k-1} ... L_0 R_0 of
+    2k + 1 edges.  Right nodes are numbered downwards so that CPython's set
+    order offers L_0 the node R_1 before R_0."""
+    k = 2 * sys.getrecursionlimit()
+    left = list(range(k + 1))
+    right = [2 * k + 1 - i for i in range(k + 1)]  # right[i] is R_i
+    edges = [(left[i], right[i]) for i in range(k + 1)]
+    edges += [(left[i], right[i + 1]) for i in range(k)]
+    g = DynamicGraph(2 * k + 2, edges)
+    assert bf_bipartite_matching(g, left, right) == (k + 1, True)
+    g.flip(left[0], right[0])  # R_0 loses its only edge
+    assert bf_bipartite_matching(g, left, right) == (k, False)
 
 
 def test_random_bipartite_perfect_matching_rare_failure():

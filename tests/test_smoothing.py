@@ -20,7 +20,6 @@ from smoothdyn.smoothing import (
     ScriptedFlipAdversary,
     SmoothedSource,
     SmoothingParams,
-    UniformAddRemoveAdversary,
     UniformFlipAdversary,
     apply_event,
     p_prime,
@@ -37,6 +36,10 @@ def test_params_validation():
         SmoothingParams(0.5, restriction=())
     SmoothingParams(0.0)
     SmoothingParams(1.0, restriction=((0, 1),))
+    # the restriction is stored once, as a tuple of canonical pairs
+    assert SmoothingParams(0.5, restriction=((1, 0), (2, 0))).restriction == ((0, 1), (0, 2))
+    with pytest.raises(ValueError):
+        SmoothingParams(0.5, restriction=((1, 1),))
 
 
 def test_smooth_initial_p1_identity():
@@ -269,7 +272,8 @@ def test_observers_see_the_pre_flip_graph(model):
 
 def test_event_log_determinism_and_format():
     def render(seed):
-        adv = UniformAddRemoveAdversary(6, adversary_stream(seed))
+        draws = adversary_stream(seed)
+        adv = FlipSimulatingARAdversary(UniformFlipAdversary(6, draws), draws)
         source = SmoothedSource(
             Model.OBLIVIOUS_AR, SmoothingParams(0.5), adv, 6, rng=smoothing_stream(seed)
         )
