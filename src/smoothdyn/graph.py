@@ -1,9 +1,10 @@
 """Mutable simple graph on a fixed node set.
 
-Nodes are dense integer indices in ``[0, n)``.  Edges are canonical
-node pairs ``(u, v)`` with ``u < v`` stored in a hash set, so membership,
-degree lookup and a single flip are expected O(1); neighbor iteration is
-O(degree) through per-node adjacency sets.
+Nodes are dense integer indices in ``[0, n)``.  The graph stores only
+per-node adjacency sets, so each edge lives in its two endpoints' sets:
+membership, degree lookup and a single flip are expected O(1), neighbor
+iteration is O(degree), and the edges are computed from the sets, by
+``edges()`` and ``edge_set()`` in O(n + m) and ``edge_count()`` in O(n).
 """
 
 from __future__ import annotations
@@ -80,36 +81,36 @@ def uniform_pair(
 class DynamicGraph:
     """Simple graph with O(1) expected membership/flip and degree table."""
 
-    __slots__ = ("n", "_edges", "_adj")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Pair] = ()):
         if n < 0:
             raise GraphError("node count must be nonnegative")
         self.n = n
-        self._edges: set[Pair] = set()
         self._adj: list[set[int]] = [set() for _ in range(n)]
-        edge_set, adj = self._edges, self._adj
+        adj = self._adj
         for u, v in edges:
             # pair() inlined: this loop builds every random start graph
-            e = (u, v) if u < v else (v, u)
-            a, b = e
+            a, b = (u, v) if u < v else (v, u)
             if a < 0 or a == b:
                 pair(u, v)  # raises the self-loop or negative-index error
             if b >= n:
-                raise GraphError(f"edge {e} out of range for n={n}")
-            if e in edge_set:
-                raise GraphError(f"duplicate edge {e}")
-            edge_set.add(e)
+                raise GraphError(f"edge {(a, b)} out of range for n={n}")
+            if b in adj[a]:
+                raise GraphError(f"duplicate edge {(a, b)}")
             adj[a].add(b)
             adj[b].add(a)
 
     # -- queries ---------------------------------------------------------
 
     def has(self, u: int, v: int) -> bool:
-        return (u, v) in self._edges if u < v else (v, u) in self._edges
+        """Edge {u, v} present, in either orientation; False off ``[0, n)``."""
+        return 0 <= u < self.n and v in self._adj[u]
 
     def has_pair(self, e: Pair) -> bool:
-        return e in self._edges
+        """:meth:`has` of ``e``, which need not be canonical."""
+        u, v = e
+        return 0 <= u < self.n and v in self._adj[u]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -124,17 +125,20 @@ class DynamicGraph:
         return self._adj[v]
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     def edges(self) -> Iterator[Pair]:
-        return iter(self._edges)
+        """Every edge once, as ``(u, v)`` with ``u < v``."""
+        for u, nbrs in enumerate(self._adj):
+            for v in nbrs:
+                if u < v:
+                    yield (u, v)
 
     def edge_set(self) -> frozenset:
-        return frozenset(self._edges)
+        return frozenset(self.edges())
 
     def copy(self) -> "DynamicGraph":
         g = DynamicGraph(self.n)
-        g._edges = set(self._edges)
         g._adj = [set(a) for a in self._adj]
         return g
 
@@ -142,17 +146,15 @@ class DynamicGraph:
 
     def flip(self, u: int, v: int) -> bool:
         """Toggle the edge; return whether it is present afterwards."""
-        e = pair(u, v)
-        if e[1] >= self.n:
-            raise GraphError(f"edge {e} out of range for n={self.n}")
-        a, b = e
-        if e in self._edges:
-            self._edges.remove(e)
-            self._adj[a].remove(b)
+        a, b = pair(u, v)
+        if b >= self.n:
+            raise GraphError(f"edge {(a, b)} out of range for n={self.n}")
+        adj_a = self._adj[a]
+        if b in adj_a:
+            adj_a.remove(b)
             self._adj[b].remove(a)
             return False
-        self._edges.add(e)
-        self._adj[a].add(b)
+        adj_a.add(b)
         self._adj[b].add(a)
         return True
 

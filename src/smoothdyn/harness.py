@@ -9,6 +9,7 @@ deterministic.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -36,7 +37,7 @@ from .counters import (
     TrivialDecider,
     TwoPathTable,
 )
-from .graph import DynamicGraph, pair, pair_count, random_graph
+from .graph import DynamicGraph, pair_count, random_graph
 from .oracles import (
     ENUM_CAP,
     bf_bipartite_matching,
@@ -237,7 +238,7 @@ def _perfect_matching(config: ExperimentConfig, init_rng):
     side = config.n // 2
     left = list(range(side))
     right = list(range(side, 2 * side))
-    restriction = tuple(pair(u, v) for u in left for v in right)
+    restriction = tuple(itertools.product(left, right))  # canonical: left < right
     g = random_graph(2 * side, init_rng, restriction=restriction)
     oracle = lambda g: bf_bipartite_matching(g, left, right)[1]
     return g, TrivialDecider(), oracle, restriction

@@ -27,24 +27,21 @@ in an Interval", 2019; O'Neill, "PCG", 2014):
   state); ``N == 2**32`` is one plain ``next_uint32``; a larger ``N`` is
   64-bit Lemire rejection over whole words.
 
-So a ``BlockDraws`` over a generator yields the same values as the same
-calls on the generator itself, and :meth:`BlockDraws.close` leaves the
-generator in the state those calls would have left.  While a
-``BlockDraws`` is open nothing else may draw from its generator: the
-words it has fetched ahead are not yet drawn as far as the generator
-knows, and are handed back only at ``close``.
-
 Scalar ``standard_exponential()`` draws (numpy's ziggurat) go through
-:class:`ExponentialDraws`, which does not decode anything.  It relies
-on one contract of the installed numpy, which ``tests/test_rng.py``
-checks: ``standard_exponential(k)`` returns the same values as ``k``
-scalar calls and leaves the generator in the same state (the ziggurat
-reads whole 64-bit words, so the 32-bit half-word buffer is untouched).
-It serves scalar calls from such arrays; :meth:`ExponentialDraws.close`
-restores the state saved on open and redraws exactly the values used
-as one array, which leaves the generator where that many scalar calls
-would have.  The same rule holds: nothing else draws from the generator
-while the scope is open.
+:class:`ExponentialDraws`, which decodes nothing.  It relies on one
+contract of the installed numpy, which ``tests/test_rng.py`` checks:
+``standard_exponential(k)`` returns the same values as ``k`` scalar
+calls and leaves the generator in the same state (the ziggurat reads
+whole 64-bit words, so the 32-bit half-word buffer is untouched).
+
+Both are scopes that own their generator from construction until
+``close()`` and serve scalar calls from arrays fetched ahead
+(``random_raw(k)`` words, ``standard_exponential(k)`` values).  While
+one is open nothing else may draw from its generator: what it fetched
+ahead is not yet drawn as far as the generator knows.  ``close()``
+restores the state saved on open and fetches exactly the values used as
+one array, which leaves the generator where the same scalar calls would
+have; ``BlockDraws`` then writes back its 32-bit half-word buffer.
 """
 
 from __future__ import annotations
@@ -80,41 +77,70 @@ def trial_stream(seed: int, trial: int, *key: int) -> np.random.Generator:
     return stream(seed, TRIAL, trial, *key)
 
 
-class BlockDraws:
+class _DrawsAhead:
+    """Scalar draws served from ``fetch(k).tolist()`` arrays of a generator
+    (see the module docstring); a context manager that closes on exit."""
+
+    __slots__ = ("_gen", "_state", "_fetch", "_values", "_next", "_size", "_fetched")
+
+    def __init__(self, gen: np.random.Generator, fetch):
+        self._gen = gen
+        self._state = gen.bit_generator.state
+        self._fetch = fetch
+        self._size = _FIRST_BLOCK
+        self._fetched = 0
+        self._values = iter(())
+        self._next = self._values.__next__
+
+    def _refill(self):
+        """Fetch the next block and return its first value."""
+        if self._gen is None:
+            raise RuntimeError(f"{type(self).__name__} used after close()")
+        self._values = iter(self._fetch(self._size).tolist())
+        self._next = self._values.__next__
+        self._fetched += self._size
+        self._size = min(2 * self._size, _MAX_BLOCK)
+        return self._next()
+
+    def close(self) -> None:
+        """Hand the generator back in the state plain draws would leave."""
+        gen = self._gen
+        if gen is None:
+            return
+        if self._fetched:
+            gen.bit_generator.state = self._state
+            used = self._fetched - self._values.__length_hint__()
+            if used:
+                self._fetch(used)
+        self._gen = None
+        self._values = iter(())
+        self._next = self._values.__next__
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class BlockDraws(_DrawsAhead):
     """Scalar ``random()`` and ``integers(N)`` draws of a PCG64 generator,
     decoded from blocks of raw words (see the module docstring).
-
-    Owns the generator from construction until :meth:`close`, which
-    rewinds the words fetched but not drawn and restores the 32-bit
-    half-word buffer.  Also a context manager that closes on exit.
 
     Each draw fetches its word inline (``self._next()``, refilling on
     ``StopIteration``): a helper method would cost about as much as the
     decoding it serves.
     """
 
-    __slots__ = ("_bitgen", "_words", "_next", "_size", "_has_half", "_half")
+    __slots__ = ("_has_half", "_half")
 
     def __init__(self, gen: np.random.Generator):
         bitgen = gen.bit_generator
         if not isinstance(bitgen, np.random.PCG64):
             raise TypeError(f"BlockDraws decodes PCG64 only, not {type(bitgen).__name__}")
-        state = bitgen.state
-        self._bitgen = bitgen
-        self._has_half = bool(state["has_uint32"])
-        self._half = state["uinteger"]
-        self._size = _FIRST_BLOCK
-        self._words = iter(())
-        self._next = self._words.__next__
-
-    def _refill(self) -> int:
-        """Fetch the next block and return its first word."""
-        if self._bitgen is None:
-            raise RuntimeError("BlockDraws used after close()")
-        self._words = iter(self._bitgen.random_raw(self._size).tolist())
-        self._next = self._words.__next__
-        self._size = min(2 * self._size, _MAX_BLOCK)
-        return self._next()
+        super().__init__(gen, bitgen.random_raw)
+        self._has_half = bool(self._state["has_uint32"])
+        self._half = self._state["uinteger"]
 
     def _uint32(self) -> int:
         if self._has_half:
@@ -165,78 +191,30 @@ class BlockDraws:
         return x * n >> 64
 
     def close(self) -> None:
-        """Hand the generator back in the state plain draws would leave."""
-        bitgen = self._bitgen
-        if bitgen is None:
+        """Hand the generator back, the 32-bit half-word buffer included."""
+        gen = self._gen
+        if gen is None:
             return
-        unused = self._words.__length_hint__()
-        if unused:
-            bitgen.advance(-unused)
-        state = bitgen.state
+        super().close()
+        state = gen.bit_generator.state
         state["has_uint32"] = int(self._has_half)
         state["uinteger"] = self._half
-        bitgen.state = state
-        self._bitgen = None
-        self._words = iter(())
-        self._next = self._words.__next__
+        gen.bit_generator.state = state
         self._has_half = False
 
-    def __enter__(self) -> "BlockDraws":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ExponentialDraws:
+class ExponentialDraws(_DrawsAhead):
     """Scalar ``standard_exponential()`` draws of a generator, served from
-    array draws (see the module docstring).
+    array draws (see the module docstring)."""
 
-    Owns the generator from construction until :meth:`close`, which
-    restores the state saved on open and redraws the values used in one
-    array call.  Also a context manager that closes on exit.
-    """
-
-    __slots__ = ("_gen", "_state", "_values", "_next", "_size", "_fetched")
+    __slots__ = ()
 
     def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._state = gen.bit_generator.state
-        self._size = _FIRST_BLOCK
-        self._fetched = 0
-        self._values = iter(())
-        self._next = self._values.__next__
+        super().__init__(gen, gen.standard_exponential)
 
     def standard_exponential(self) -> float:
         """``Generator.standard_exponential()``: an Exp(1) float."""
         try:
             return self._next()
         except StopIteration:
-            pass
-        if self._gen is None:
-            raise RuntimeError("ExponentialDraws used after close()")
-        self._values = iter(self._gen.standard_exponential(self._size).tolist())
-        self._next = self._values.__next__
-        self._fetched += self._size
-        self._size = min(2 * self._size, _MAX_BLOCK)
-        return self._next()
-
-    def close(self) -> None:
-        """Hand the generator back in the state plain draws would leave."""
-        gen = self._gen
-        if gen is None:
-            return
-        if self._fetched:
-            gen.bit_generator.state = self._state
-            used = self._fetched - self._values.__length_hint__()
-            if used:
-                gen.standard_exponential(used)
-        self._gen = None
-        self._values = iter(())
-        self._next = self._values.__next__
-
-    def __enter__(self) -> "ExponentialDraws":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            return self._refill()

@@ -89,14 +89,19 @@ class SmoothedSource:
         n: int,
         rng: np.random.Generator,
     ):
+        self._allowed = params.restriction
+        self._allowed_set = None
+        if params.restriction is not None:
+            for e in params.restriction:  # canonical, so e[1] is the larger node
+                if e[1] >= n:
+                    raise ValueError(f"restriction pair {e} out of range for n={n}")
+            self._allowed_set = frozenset(params.restriction)
         self.model = model
         self.params = params
         self.adversary = adversary
         self.n = n
         self._draws = BlockDraws(rng)
         self._step = 0
-        self._allowed = params.restriction
-        self._allowed_set = None if params.restriction is None else frozenset(params.restriction)
 
     def _check(self, e: Pair) -> Pair:
         e = pair(*e)

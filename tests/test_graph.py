@@ -78,11 +78,25 @@ def test_flip_involution_and_degrees(n, data):
     )
     g = DynamicGraph(n, edges)
     before = g.edge_set()
+
+    def check_membership():
+        present = g.edge_set()
+        assert g.edge_count() == len(present)
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    assert (
+                        g.has(u, v) == g.has(v, u) == g.has_pair((u, v)) == (pair(u, v) in present)
+                    )
+            # nodes outside [0, n), negative ones included, are never adjacent
+            for w in (-1, n):
+                assert not g.has(u, w) and not g.has(w, u)
+                assert not g.has_pair((u, w)) and not g.has_pair((w, u))
+
     ops = data.draw(st.lists(st.sampled_from(list(all_pairs(n))), max_size=40))
-    for e in ops:
+    for e in ops + ops[::-1]:
         g.flip(*e)
-    for e in reversed(ops):
-        g.flip(*e)
+        check_membership()
     assert g.edge_set() == before
     # maintained degrees match a from-scratch recomputation
     for v in range(n):

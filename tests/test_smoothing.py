@@ -152,6 +152,13 @@ def test_restriction_contract_violation():
         source.next_change()
 
 
+def test_restriction_pairs_out_of_range_rejected():
+    params = SmoothingParams(0.0, restriction=((0, 99), (0, 1)))
+    adv = UniformFlipAdversary(10, adversary_stream(0), params.restriction)
+    with pytest.raises(ValueError, match=r"restriction pair \(0, 99\) out of range for n=10"):
+        SmoothedSource(Model.OBLIVIOUS_FLIP, params, adv, 10, rng=smoothing_stream(0))
+
+
 def test_realized_edges_respect_restriction():
     restriction = tuple(all_pairs(6))[:5]
     for seed in range(30):
@@ -317,6 +324,28 @@ def test_lazy_adapter_translations():
     assert effective
     adapter.update(ev2.edge, present)
     assert algo.calls == [((0, 1), True), (None, False), ((0, 1), False)]
+
+
+def test_run_sequence_feeds_null_steps_to_the_lazy_adapter():
+    """Each ineffective add/remove event reaches the wrapped algorithm as one
+    ``update(None, False)`` before the next effective flip."""
+    n = 6
+    g = random_graph(n, stream(11, 0))
+    start = g.copy()
+    algo = _RecordingFlipAlgo()
+    source = make_model_source("oblivious-ar", SmoothingParams(0.5), n, 11, 0)
+    log = run_sequence(g, source, 300, [LazyFlipAdapter(algo)])
+    expected, banked = [], 0
+    for ev in log:
+        effective, present = apply_event(start, ev)
+        if effective:
+            expected += [(None, False)] * banked + [(ev.edge, present)]
+            banked = 0
+            start.flip(*ev.edge)
+        else:
+            banked += 1
+    assert (None, False) in expected
+    assert algo.calls == expected
 
 
 @given(st.lists(st.tuples(st.sampled_from(list(all_pairs(5))), st.booleans()), max_size=60))
