@@ -5,17 +5,16 @@ is invoked BEFORE the flip is applied to the shared graph, so the counter
 reads the pre-flip graph and is told the post-flip presence bit.  Updates
 with ``edge is None`` are null steps and cost O(1).
 
-A counter built on a ``TwoPathTable`` folds the table's output: the
-table's ``update`` (also called before the flip) returns the set of
-nodes whose 2-path count moved by +/-1, a fresh set that never aliases
-the graph's adjacency sets, and the counter adds their contribution in
-one pass.
+st4 and s-4-cycle fold, in one pass, the fresh set of moved nodes that a
+``TwoPathTable`` update (also called before the flip) returns.  st3 and
+s-triangle keep no table: each flip moves their count by at most one
+intersection of pre-flip adjacency sets.
 
-Counters expose ``ops``, a running count of elementary operations
-(edge-membership tests and counter-table writes) used by the harness's
-cost accounting.  ``ops`` is the paper's modelled cost and may exceed the
-work actually done: an s-edge update charges the n-node scan of the
-model while it walks only deg(v) neighbours.
+Counters expose ``ops``, the paper's modelled count of elementary
+operations (edge-membership tests and counter-table writes) used by the
+harness's cost accounting.  It may exceed the work actually done: an
+s-edge update charges the n-node scan while it walks only deg(v)
+neighbours, and st3 and s-triangle charge a 2-path table they do not keep.
 """
 
 from __future__ import annotations
@@ -97,7 +96,12 @@ class TwoPathTable:
 
 
 class STPath3Counter:
-    """Exact count of simple s-t 3-paths, O(1) query."""
+    """Exact count of simple s-t 3-paths, O(1) query.
+
+    An (s,v) flip moves |N(t) & N(v)| - [s~t and s~v] paths (s,v,u,t), a
+    (t,x) flip |N(s) & N(x)| - [t~s and t~x] and an interior (a,b) flip
+    [s~a and t~b] + [s~b and t~a].
+    """
 
     def __init__(self, g: DynamicGraph, s: int, t: int):
         if s == t:
@@ -105,33 +109,29 @@ class STPath3Counter:
         self.g = g
         self.s = s
         self.t = t
-        self.two = TwoPathTable(g, s, t)
-        self._ops = 0
-        self.c = sum(
-            self.two.c[u] for u in g.neighbors(t) if u != s
-        )
-
-    @property
-    def ops(self) -> int:
-        return self._ops + self.two.ops
+        mids = g.neighbors(s) - {t}
+        self.ops = sum(g.degree(v) - 1 for v in mids)
+        self.c = sum(len(g.neighbors(t) & g.neighbors(v)) for v in mids) - len(mids) * g.has(s, t)
 
     def update(self, e: Optional[Pair], now_present: bool) -> None:
-        if e is None:
-            return
-        s, t = self.s, self.t
+        s, t, g = self.s, self.t, self.g
+        if e is None or (s in e and t in e):
+            return  # a null step, or the (s,t) edge, which lies on no s-t 3-path
         a, b = e
-        if (a == s and b == t) or (a == t and b == s):
-            return  # the (s,t) edge never participates in an s-t 3-path
         delta = 1 if now_present else -1
-        if a == t or b == t:
-            self.c += delta * self.two.c[b if a == t else a]
-            self._ops += 1
-            self.two.update(e, now_present)  # maintains c[t]; no 3-path effect
+        ns, nt = g.neighbors(s), g.neighbors(t)
+        if a == s or b == s:
+            v = b if a == s else a
+            self.c += delta * (len(nt & g.neighbors(v)) - (t in ns and v in ns))
+            self.ops += g.n + 2 * (g.degree(v) - (v in ns))
+        elif a == t or b == t:
+            x = b if a == t else a
+            self.c += delta * (len(ns & g.neighbors(x)) - (t in ns and x in nt))
+            self.ops += 3 + (x in ns)
         else:
-            # each moved c_s2u with u ~ t changes the 3-paths (s,x,u,t) by delta
-            moved = self.two.update(e, now_present)
-            self.c += delta * len(self.g.neighbors(t) & moved)
-            self._ops += len(moved)
+            sa, sb = a in ns, b in ns
+            self.c += delta * ((sa and b in nt) + (sb and a in nt))
+            self.ops += 2 + 2 * (sa + sb)
 
     def query(self) -> int:
         return self.c
@@ -214,38 +214,37 @@ class STPath4Counter:
 
 
 class STriangleCounter:
-    """Exact count of triangles through s; internally stores twice the count."""
+    """Exact count of triangles through s, O(1) query.
+
+    An (s,v) flip moves the |N(s) & N(v)| triangles (s,v,u); an (a,b)
+    flip moves one exactly when s~a and s~b.
+    """
 
     def __init__(self, g: DynamicGraph, s: int):
         self.g = g
         self.s = s
-        self.two = TwoPathTable(g, s)
-        self._ops = 0
-        self.c2 = sum(self.two.c[u] for u in g.neighbors(s))
-
-    @property
-    def ops(self) -> int:
-        return self._ops + self.two.ops
+        ns = g.neighbors(s)
+        self.ops = sum(g.degree(v) - 1 for v in ns)
+        self.c = sum(len(ns & g.neighbors(v)) for v in ns) // 2
 
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         if e is None:
             return
-        s = self.s
+        s, g = self.s, self.g
         a, b = e
         delta = 1 if now_present else -1
+        ns = g.neighbors(s)
         if a == s or b == s:
-            # c_s2v enters or leaves the sum over neighbors of s
-            self.c2 += delta * self.two.c[b if a == s else a]
-            self._ops += 1
-        # each moved c_s2u with u ~ s moves the sum by delta
-        moved = self.two.update(e, now_present)
-        self.c2 += delta * len(self.g.neighbors(s) & moved)
-        self._ops += len(moved)
+            v = b if a == s else a
+            self.c += delta * len(ns & g.neighbors(v))
+            self.ops += 1 + g.n + 2 * (g.degree(v) - (v in ns))
+        else:
+            sa, sb = a in ns, b in ns
+            self.c += delta * (sa and sb)
+            self.ops += 2 + 2 * (sa + sb)
 
     def query(self) -> int:
-        if self.c2 % 2 != 0:
-            raise InvariantError(f"triangle double-count {self.c2} is odd")
-        return self.c2 // 2
+        return self.c
 
 
 class SFourCycleCounter:

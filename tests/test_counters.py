@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothdyn.counters import (
-    InvariantError,
     SFourCycleCounter,
     STPath3Counter,
     STPath4Counter,
@@ -66,13 +64,6 @@ def test_s4cycle_frozen():
     assert SFourCycleCounter(square, 0).query() == 1
     assert SFourCycleCounter(k4(), 0).query() == 3
     assert SFourCycleCounter(DynamicGraph(4), 0).query() == 0
-
-
-def test_striangle_parity_guard():
-    counter = STriangleCounter(DynamicGraph(3), 0)
-    counter.c2 = 3  # corrupt on purpose
-    with pytest.raises(InvariantError):
-        counter.query()
 
 
 def test_st_edge_is_ignored():
@@ -185,6 +176,109 @@ def test_two_path_table_matches_the_full_scan(data):
         assert sorted(moved_fast) == sorted(moved_scan), e
         assert fast.c == scan.c, e
         assert fast.ops == scan.ops, e
+
+
+class TableSTPath3Counter:
+    """Reference: st3 as a fold of a t-excluded TwoPathTable's moved set."""
+
+    def __init__(self, g, s, t):
+        self.g, self.s, self.t = g, s, t
+        self.two = TwoPathTable(g, s, t)
+        self._ops = 0
+        self.c = sum(self.two.c[u] for u in g.neighbors(t) if u != s)
+
+    @property
+    def ops(self):
+        return self._ops + self.two.ops
+
+    def update(self, e, now_present):
+        if e is None:
+            return
+        s, t = self.s, self.t
+        a, b = e
+        if {a, b} == {s, t}:
+            return
+        delta = 1 if now_present else -1
+        if a == t or b == t:
+            self.c += delta * self.two.c[b if a == t else a]
+            self._ops += 1
+            self.two.update(e, now_present)
+        else:
+            moved = self.two.update(e, now_present)
+            self.c += delta * len(self.g.neighbors(t) & moved)
+            self._ops += len(moved)
+
+    def query(self):
+        return self.c
+
+
+class TableSTriangleCounter:
+    """Reference: twice the s-triangle count as a fold of a TwoPathTable."""
+
+    def __init__(self, g, s):
+        self.g, self.s = g, s
+        self.two = TwoPathTable(g, s)
+        self._ops = 0
+        self.c2 = sum(self.two.c[u] for u in g.neighbors(s))
+
+    @property
+    def ops(self):
+        return self._ops + self.two.ops
+
+    def update(self, e, now_present):
+        if e is None:
+            return
+        s = self.s
+        a, b = e
+        delta = 1 if now_present else -1
+        if a == s or b == s:
+            self.c2 += delta * self.two.c[b if a == s else a]
+            self._ops += 1
+        moved = self.two.update(e, now_present)
+        self.c2 += delta * len(self.g.neighbors(s) & moved)
+        self._ops += len(moved)
+
+    def query(self):
+        assert self.c2 % 2 == 0
+        return self.c2 // 2
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_intersection_counters_match_the_table_fold(data):
+    n = data.draw(st.integers(5, 40), label="n")
+    s, t = 0, 1
+    g = random_graph(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    pairs = [
+        (STPath3Counter(g, s, t), TableSTPath3Counter(g, s, t)),
+        (STriangleCounter(g, s), TableSTriangleCounter(g, s)),
+    ]
+    for fast, table in pairs:
+        assert (fast.ops, fast.query()) == (table.ops, table.query())
+    for _ in range(data.draw(st.integers(1, 60), label="steps")):
+        kind = data.draw(st.sampled_from(["s", "t", "st", "s-near-t", "interior", "null"]))
+        near_t = sorted(g.neighbors(t) - {s})
+        if kind == "st":
+            e = (s, t)
+        elif kind == "s-near-t" and near_t:
+            e = pair(s, data.draw(st.sampled_from(near_t)))
+        elif kind in ("s", "s-near-t"):
+            e = pair(s, data.draw(st.integers(2, n - 1)))
+        elif kind == "t":
+            e = pair(t, data.draw(st.integers(2, n - 1)))
+        elif kind == "interior":
+            nodes = st.lists(st.integers(2, n - 1), min_size=2, max_size=2, unique=True)
+            e = pair(*data.draw(nodes))
+        else:
+            e = None
+        present = e is not None and not g.has_pair(e)
+        for fast, table in pairs:
+            fast.update(e, present)
+            table.update(e, present)
+        if e is not None:
+            g.flip(*e)
+        for fast, table in pairs:
+            assert (fast.ops, fast.query()) == (table.ops, table.query()), (kind, e)
 
 
 def test_update_cost_profile():
