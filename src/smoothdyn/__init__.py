@@ -3,8 +3,8 @@
 Subpackages:
 
 * :mod:`smoothdyn.graph` -- mutable simple graphs with O(1) flip/membership
-* :mod:`smoothdyn.smoothing` -- p-smoothed change sequences, three adversary
-  models, laziness adapters
+* :mod:`smoothdyn.smoothing` -- p-smoothed change sequences and the three
+  adversary models
 * :mod:`smoothdyn.counters` -- incremental s-t path / triangle / 4-cycle
   counters and the constant-time deciders
 * :mod:`smoothdyn.adversaries` -- adaptive and oblivious edge-embedding

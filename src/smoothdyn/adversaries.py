@@ -108,14 +108,14 @@ def run_adaptive_embed(
     g: DynamicGraph,
     task: EmbeddingTask,
     rng: np.random.Generator,
-    check_feasible: bool = True,
 ) -> EmbedResult:
     """Drive the adaptive embedding until success or budget exhaustion.
 
-    Draws from ``rng`` exactly what plain numpy draws would, and hands it
-    back in that state, so the caller may go on drawing from it."""
-    if check_feasible:
-        task.require_feasible()
+    Raises :class:`InfeasibleTaskError` before any draw unless the task
+    meets the proviso r <= p n^2 / 18.  Draws from ``rng`` exactly what
+    plain numpy draws would, and hands it back in that state, so the
+    caller may go on drawing from it."""
+    task.require_feasible()
     adversary = AdaptiveEmbedAdversary(task)
     source = SmoothedSource(
         Model.ADAPTIVE, SmoothingParams(task.p), adversary, g.n, rng=rng

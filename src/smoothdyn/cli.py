@@ -57,7 +57,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {
         key: value for key, value in vars(args).items() if key in known and value is not None
     }
-    config = ExperimentConfig(**from_file).override(**overrides).validate_for(args.command)
+    config = ExperimentConfig(**{**from_file, **overrides}).validate_for(args.command)
     if args.command == "reduce":
         command, reads = f"reduce --mode {config.mode}", REDUCE_MODES[config.mode].reads | {"mode"}
     else:

@@ -3,7 +3,8 @@
 Every counter follows one ordering contract: ``update(edge, now_present)``
 is invoked BEFORE the flip is applied to the shared graph, so the counter
 reads the pre-flip graph and is told the post-flip presence bit.  Updates
-with ``edge is None`` are null steps and cost O(1).
+with ``edge is None`` are null steps and cost O(1); ``run_sequence``
+delivers each ineffective add/remove event as ``update(None, False)``.
 
 st4 and s-4-cycle fold, in one pass, the fresh set of moved nodes that a
 ``TwoPathTable`` update (also called before the flip) returns.  st3 and

@@ -99,12 +99,6 @@ class ExperimentConfig:
                 raise ValueError(f"{path}: unknown config field {key!r}")
         return data
 
-    def override(self, **kwargs) -> "ExperimentConfig":
-        for key, value in kwargs.items():
-            if value is not None:
-                setattr(self, key, value)
-        return self
-
     def validate(self) -> "ExperimentConfig":
         """Reject field types, names and ranges the commands cannot run."""
         for name in ("n", "T", "trials", "seed", "query_every"):

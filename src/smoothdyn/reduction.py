@@ -599,9 +599,7 @@ class SixteenPack:
 @dataclass
 class P3ToGeneralRun:
     queries: List[Tuple[int, int, int]]  # (step, recovered, oracle)
-    aborted: bool
     interior_steps: int
-    total_steps: int
 
 
 def run_p3_to_general(
@@ -611,16 +609,14 @@ def run_p3_to_general(
     query_every: int,
     rng: np.random.Generator,
     check_every_step: bool = False,
-    interior_budget: Optional[int] = None,
-    cap_factor: float = 3.0,
 ) -> P3ToGeneralRun:
-    """Drive a SixteenPack against a p-smoothed interior source.
+    """Drive a SixteenPack for ``total_steps`` steps against a p-smoothed
+    interior source.
 
     The interior source is an oblivious-flip smoothed sequence restricted
     to the P3 pairs with a uniform adversary.  At every query the
-    recovered count is paired with the interior oracle's count.  With an
-    ``interior_budget`` T the run aborts once cap_factor*T total steps
-    have elapsed (the configurable abort of the reduction).
+    recovered count is paired with the interior oracle's count.
+    ``interior_steps`` counts the changes drawn from that source.
     """
     layout = P3Layout(n)
     restriction = tuple(layout.interior_edges())
@@ -636,19 +632,13 @@ def run_p3_to_general(
     count_fn = lambda g: bf_st_paths(g, layout.s, layout.t, 3)
     interior_steps = 0
     queries: List[Tuple[int, int, int]] = []
-    aborted = False
-    cap = None if interior_budget is None else int(cap_factor * interior_budget)
 
     def next_interior() -> Pair:
         nonlocal interior_steps
         interior_steps += 1
         return source.next_change().edge
 
-    step = 0
     for step in range(1, total_steps + 1):
-        if cap is not None and step > cap and interior_steps < interior_budget:
-            aborted = True
-            break
         pack.step(next_interior, rng)
         if check_every_step:
             pack.check_partition()
@@ -656,7 +646,7 @@ def run_p3_to_general(
             recovered = pack.query(count_fn)
             oracle = bf_st_paths(pack.interior, layout.s, layout.t, 3)
             queries.append((step, recovered, oracle))
-    return P3ToGeneralRun(queries, aborted, interior_steps, step)
+    return P3ToGeneralRun(queries, interior_steps)
 
 
 # -- OMv massaging (random zeroing + 8-way split) ------------------------

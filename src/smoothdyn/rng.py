@@ -21,11 +21,12 @@ in an Interval", 2019; O'Neill, "PCG", 2014):
 
 * ``random()`` is ``(w >> 11) * 2**-53`` for the next 64-bit word ``w``;
 * ``integers(N)`` with ``N == 1`` is 0 and draws nothing; with
-  ``N < 2**32`` it is 32-bit Lemire rejection over ``next_uint32``,
+  ``N <= 2**32`` it is 32-bit Lemire rejection over ``next_uint32``,
   which returns the low half of a fresh word and buffers its high half
   for the next ``next_uint32`` (``has_uint32``/``uinteger`` in the
-  state); ``N == 2**32`` is one plain ``next_uint32``; a larger ``N`` is
-  64-bit Lemire rejection over whole words.
+  state); at ``N == 2**32`` that is one plain ``next_uint32``, which is
+  never rejected; a larger ``N`` is 64-bit Lemire rejection over whole
+  words.
 
 Scalar ``standard_exponential()`` draws (numpy's ziggurat) go through
 :class:`ExponentialDraws`, which decodes nothing.  It relies on one
@@ -164,7 +165,7 @@ class BlockDraws(_DrawsAhead):
 
     def integers(self, n: int) -> int:
         """``Generator.integers(n)``: an int in [0, n), for 1 <= n <= 2**63."""
-        if 1 < n < 0x100000000:
+        if 1 < n <= 0x100000000:
             m = self._uint32() * n
             if m & 0xFFFFFFFF < n:
                 threshold = 0x100000000 % n
@@ -173,8 +174,6 @@ class BlockDraws(_DrawsAhead):
             return m >> 32
         if n == 1:
             return 0
-        if n == 0x100000000:
-            return self._uint32()
         if not 0x100000000 < n <= 1 << 63:
             raise ValueError(f"integers({n}) outside 1 <= n <= 2**63")
         try:

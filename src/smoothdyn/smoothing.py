@@ -186,15 +186,14 @@ def apply_event(g: DynamicGraph, ev: ChangeEvent) -> Tuple[bool, bool]:
     return present, False  # REMOVE
 
 
-def notify_and_flip(g: DynamicGraph, e: Pair, observers: Iterable) -> bool:
+def notify_and_flip(g: DynamicGraph, e: Pair, observers: Iterable) -> None:
     """Call every observer's ``update(e, now_present)`` while ``g`` still
     holds the pre-flip state (the counters' ordering contract), then flip
-    ``e`` in ``g``; returns ``now_present``."""
+    ``e`` in ``g``."""
     now_present = not g.has_pair(e)
     for obs in observers:
         obs.update(e, now_present)
     g.flip(*e)
-    return now_present
 
 
 def run_sequence(
@@ -208,9 +207,9 @@ def run_sequence(
     :func:`apply_event` classifies each event; an effective one goes
     through :func:`notify_and_flip`, the one place that implements the
     counters' ordering contract (``update(edge, now_present)`` before the
-    flip lands on the shared graph).  Observers that define ``null_step()``
-    get it for each ineffective add/remove event.  Provenance is never
-    passed on.
+    flip lands on the shared graph).  An ineffective add/remove event is a
+    null step of the lazy flip process: every observer gets
+    ``update(None, False)`` at that step.  Provenance is never passed on.
     """
     observers = list(observers)
     log: List[ChangeEvent] = []
@@ -221,9 +220,7 @@ def run_sequence(
             notify_and_flip(g, ev.edge, observers)
         else:
             for obs in observers:
-                null = getattr(obs, "null_step", None)
-                if null is not None:
-                    null()
+                obs.update(None, False)
         log.append(ev)
     return log
 
@@ -233,32 +230,6 @@ def write_event_log(events: Iterable[ChangeEvent], fp: IO[str]) -> None:
     writer.writerow(["step", "kind", "u", "v", "provenance"])
     for i, ev in enumerate(events):
         writer.writerow([i, ev.kind.value, *ev.edge, ev.provenance.value])
-
-
-class LazyFlipAdapter:
-    """Run a flip-model algorithm on an add/remove event stream.
-
-    Ineffective events become null steps; on the next effective flip the
-    wrapped algorithm is fed one ``update(None, False)`` per banked null
-    step (catch-up) before the real flip, so its per-step computation
-    budget matches a direct flip-model run.
-    """
-
-    def __init__(self, algorithm):
-        self._algorithm = algorithm
-        self._banked_nulls = 0
-
-    def null_step(self) -> None:
-        self._banked_nulls += 1
-
-    def update(self, edge: Pair, now_present: bool) -> None:
-        for _ in range(self._banked_nulls):
-            self._algorithm.update(None, False)
-        self._banked_nulls = 0
-        self._algorithm.update(edge, now_present)
-
-    def query(self, *args, **kwargs):
-        return self._algorithm.query(*args, **kwargs)
 
 
 # -- adversary handles ---------------------------------------------------

@@ -82,18 +82,14 @@ def test_adaptive_embed_mean_steps_monotone_in_p():
     assert mean_steps(1.0, 0) < mean_steps(0.7, 1) < mean_steps(0.4, 2)
 
 
-def test_adaptive_embed_p0_fails_without_luck():
-    # p=0 proposals never land; the tiny budget cannot flip the target set
+def test_adaptive_embed_rejects_p0_task():
+    # at p = 0 no region is feasible: r <= p n^2 / 18 fails for any r >= 1
     rng = trial_stream(3, 0)
-    failures = 0
-    for _ in range(50):
-        g = random_graph(50, rng)
-        region = region_around(range(5))
-        flips = tuple(region[:4])
-        task = EmbeddingTask(50, frozenset(region), flips, 0.0, 8)
-        res = run_adaptive_embed(g, task, rng, check_feasible=False)
-        failures += not res.success
-    assert failures >= 48
+    g = random_graph(50, rng)
+    region = region_around(range(5))
+    task = EmbeddingTask(50, frozenset(region), tuple(region[:4]), 0.0, 8)
+    with pytest.raises(InfeasibleTaskError):
+        run_adaptive_embed(g, task, rng)
 
 
 def test_multiphase_embed_within_budget():

@@ -192,7 +192,7 @@ def oblivious_ar_embed_output() -> str:
 
 def p3_to_general_output() -> str:
     run = run_p3_to_general(3, 0.5, 300, 20, trial_stream(SEED, 0))
-    return repr((run.queries, run.aborted, run.interior_steps, run.total_steps))
+    return repr((run.queries, run.interior_steps))
 
 
 def sixteen_pack_output() -> str:
@@ -234,7 +234,7 @@ DIGESTS = {
     "dadvp-histogram": "61b244ef27fc587c",
     "adaptive-embed": "e671d31c39e56a98",
     "oblivious-ar-embed": "865f988aef2cd4d0",
-    "p3-to-general": "849534be82e062f5",
+    "p3-to-general": "d851d6bfffd3c6d1",
     "sixteen-pack": "2a3df97c1d413265",
 }
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -81,9 +82,14 @@ def test_config_rejects_non_object_json(tmp_path):
         ExperimentConfig.read_fields(str(path))
 
 
-def test_config_override_skips_none():
-    cfg = ExperimentConfig().override(n=30, p=None)
-    assert cfg.n == 30 and cfg.p == 0.5
+def test_cli_flags_override_config_fields(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "st3", "n": 15, "T": 20, "trials": 1}))
+    out = tmp_path / "rows.csv"
+    for flags, n in [([], 15), (["-n", "12"], 12)]:
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)] + flags) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert rows and all(row["n"] == str(n) for row in rows)
 
 
 def test_metric_csv_bytes():

@@ -33,7 +33,6 @@ USERS = [REPO / "perfbench" / f for f in ("run.py", "workloads.py", "tracing.py"
 UNREFERENCED_KEPT = {
     # the model-hierarchy experiment (ROADMAP)
     "multiphase_embed",
-    "LazyFlipAdapter",
     "p_prime",
     # simulate's adversarial start, --h0 (ROADMAP)
     "smooth_initial",
@@ -52,13 +51,8 @@ UNREFERENCED_KEPT = {
 
 # Defaulted parameters that no counted call passes, each kept for a use.
 UNPASSED_KEPT = {
-    # the p = 0 embedding test runs without the feasibility check
-    ("run_adaptive_embed", "check_feasible"),
     # the CLI tests' entry point
     ("main", "argv"),
-    # the reduction's configurable abort
-    ("run_p3_to_general", "interior_budget"),
-    ("run_p3_to_general", "cap_factor"),
 }
 
 

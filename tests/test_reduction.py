@@ -365,24 +365,9 @@ def test_run_p3_to_general():
     run = run_p3_to_general(
         4, 0.5, 300, 25, trial_stream(12, 0), check_every_step=True
     )
-    assert not run.aborted
     assert len(run.queries) == 300 // 25
     assert all(rec == orc for _, rec, orc in run.queries)
-    assert 0 < run.interior_steps <= run.total_steps == 300
-
-
-def test_run_p3_to_general_abort():
-    run = run_p3_to_general(
-        4,
-        0.5,
-        500,
-        50,
-        trial_stream(12, 1),
-        interior_budget=1000,
-        cap_factor=0.05,
-    )
-    assert run.aborted
-    assert run.total_steps <= 51
+    assert 0 < run.interior_steps <= 300
 
 
 # -- OMv massaging -------------------------------------------------------

@@ -14,7 +14,6 @@ from smoothdyn.smoothing import (
     ContractViolation,
     FlipSimulatingARAdversary,
     Kind,
-    LazyFlipAdapter,
     Model,
     Provenance,
     ScriptedFlipAdversary,
@@ -264,17 +263,22 @@ class _PreFlipProbe:
         self.updates = 0
 
     def update(self, e, now_present):
-        assert self.g.has_pair(e) != now_present
+        if e is None:
+            assert not now_present  # a null step
+        else:
+            assert self.g.has_pair(e) != now_present
         self.updates += 1
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_observers_see_the_pre_flip_graph(model):
+    """Every step reaches every observer once: a flip before it lands, a
+    null step as ``update(None, False)``."""
     n = 12
     g = random_graph(n, stream(7, 0))
     probe = _PreFlipProbe(g)
     log = run_sequence(g, make_model_source(model, SmoothingParams(0.5), n, 7, 0), 200, [probe])
-    assert 0 < probe.updates <= len(log)
+    assert probe.updates == len(log)
 
 
 def test_event_log_determinism_and_format():
@@ -296,7 +300,7 @@ def test_event_log_determinism_and_format():
     assert "\r" not in one
 
 
-class _RecordingFlipAlgo:
+class _RecordingObserver:
     def __init__(self):
         self.calls = []
 
@@ -304,71 +308,52 @@ class _RecordingFlipAlgo:
         self.calls.append((edge, now_present))
 
 
-def test_lazy_adapter_translations():
-    g = DynamicGraph(4)
-    algo = _RecordingFlipAlgo()
-    adapter = LazyFlipAdapter(algo)
-    # Add on absent -> one flip forwarded
-    ev = ChangeEvent((0, 1), Kind.ADD, Provenance.ADVERSARIAL)
-    effective, present = apply_event(g, ev)
-    assert effective
-    adapter.update(ev.edge, present)
-    g.flip(*ev.edge)
-    assert algo.calls == [((0, 1), True)]
-    # second Add is a no-op -> a null step, caught up on the next flip
-    effective, _ = apply_event(g, ev)
-    assert not effective
-    adapter.null_step()
-    ev2 = ChangeEvent((0, 1), Kind.REMOVE, Provenance.ADVERSARIAL)
-    effective, present = apply_event(g, ev2)
-    assert effective
-    adapter.update(ev2.edge, present)
-    assert algo.calls == [((0, 1), True), (None, False), ((0, 1), False)]
-
-
-def test_run_sequence_feeds_null_steps_to_the_lazy_adapter():
-    """Each ineffective add/remove event reaches the wrapped algorithm as one
-    ``update(None, False)`` before the next effective flip."""
+def test_run_sequence_feeds_null_steps_as_updates():
+    """Step by step, an ineffective add/remove event reaches the observer
+    as ``update(None, False)`` and an effective one as
+    ``update(edge, now_present)``."""
     n = 6
     g = random_graph(n, stream(11, 0))
     start = g.copy()
-    algo = _RecordingFlipAlgo()
+    obs = _RecordingObserver()
     source = make_model_source("oblivious-ar", SmoothingParams(0.5), n, 11, 0)
-    log = run_sequence(g, source, 300, [LazyFlipAdapter(algo)])
-    expected, banked = [], 0
+    log = run_sequence(g, source, 300, [obs])
+    expected = []
     for ev in log:
         effective, present = apply_event(start, ev)
         if effective:
-            expected += [(None, False)] * banked + [(ev.edge, present)]
-            banked = 0
+            expected.append((ev.edge, present))
             start.flip(*ev.edge)
         else:
-            banked += 1
+            expected.append((None, False))
     assert (None, False) in expected
-    assert algo.calls == expected
+    assert obs.calls == expected
+    assert g.edge_set() == start.edge_set()
 
 
 @given(st.lists(st.tuples(st.sampled_from(list(all_pairs(5))), st.booleans()), max_size=60))
 @settings(max_examples=50, deadline=None)
 def test_lazy_adapter_differential(ops):
-    """Adapter over add/remove events == direct run on the induced flips."""
+    """A counter fed an add/remove stream, with each null step as
+    ``update(None, False)``, counts what a direct run on the induced flips
+    counts."""
     from smoothdyn.counters import STriangleCounter
 
     g1 = DynamicGraph(5)
-    wrapped = LazyFlipAdapter(STriangleCounter(g1, 0))
+    lazy = STriangleCounter(g1, 0)
     g2 = DynamicGraph(5)
     direct = STriangleCounter(g2, 0)
     for e, is_add in ops:
         ev = ChangeEvent(e, Kind.ADD if is_add else Kind.REMOVE, Provenance.ADVERSARIAL)
         effective, present = apply_event(g1, ev)
         if effective:
-            wrapped.update(e, present)
+            lazy.update(e, present)
             g1.flip(*e)
             direct.update(e, present)
             g2.flip(*e)
         else:
-            wrapped.null_step()
-    assert wrapped.query() == direct.query()
+            lazy.update(None, False)
+    assert lazy.query() == direct.query()
     assert g1.edge_set() == g2.edge_set()
 
 
