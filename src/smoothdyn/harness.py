@@ -17,7 +17,6 @@ from typing import (
     IO,
     Callable,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     NamedTuple,
@@ -105,7 +104,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name, low in (("n", 2), ("T", 1), ("trials", 1), ("query_every", 0)):
+        for name, low in (("n", 2), ("T", 1), ("trials", 1), ("seed", 0), ("query_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.p_grid is not None and not (isinstance(self.p_grid, list) and self.p_grid):
@@ -116,7 +115,7 @@ class ExperimentConfig:
         for name in ("out", "timings_out"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
-        for name, known in (("problem", PROBLEMS), ("model", MODELS), ("mode", REDUCE_MODES)):
+        for name, known in CHOICES.items():
             value = getattr(self, name)
             if not (isinstance(value, str) and value in known):
                 raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(known)}")
@@ -293,7 +292,9 @@ def bench_point(
     n: int, p: float, T: int, seed: int, trial: int = 0
 ) -> Tuple[float, float]:
     """(expensive_frac, mean_ops) for st3 under an s-edge-flipping adversary."""
-    g = DynamicGraph(n)  # cost profile is independent of the initial density
+    # an empty start, because C02 and the bench golden pin this start's profile;
+    # the profile does depend on it (a dense start roughly doubles st3's ops)
+    g = DynamicGraph(n)
     counter = STPath3Counter(g, 0, 1)
     adv = StarFlipAdversary(n, hub=0)
     source = SmoothedSource(
@@ -360,29 +361,32 @@ def _reduce_omv_chain(config: ExperimentConfig) -> Iterator[Tuple[int, int, int,
 class ReduceMode(NamedTuple):
     problem: str  # the CSV problem column
     run: Callable  # config -> iterator of (trial, T, errors, checks), one per row
-    reads: FrozenSet[str]  # the config fields run reads
 
 
 REDUCE_MODES: Dict[str, ReduceMode] = {
-    "sol": ReduceMode("sol-exact", _reduce_sol, frozenset({"n", "p", "trials", "seed"})),
-    "p3general": ReduceMode(
-        "p3general", _reduce_p3general, frozenset({"n", "p", "T", "trials", "seed"})
-    ),
-    "omv-chain": ReduceMode("omv-chain", _reduce_omv_chain, frozenset({"n", "trials", "seed"})),
+    "sol": ReduceMode("sol-exact", _reduce_sol),
+    "p3general": ReduceMode("p3general", _reduce_p3general),
+    "omv-chain": ReduceMode("omv-chain", _reduce_omv_chain),
 }
 
-# the config fields simulate and bench read (reduce: its mode's), besides
-# the output paths every command takes
-COMMAND_READS: Dict[str, FrozenSet[str]] = {
-    "simulate": frozenset({"problem", "model", "n", "p", "T", "trials", "seed", "query_every"}),
-    "bench": frozenset({"n", "p_grid", "T", "trials", "seed"}),
+# the command line that runs each experiment -> the config fields it reads,
+# besides the output paths every experiment takes; the CLI's flags follow
+READS: Dict[str, Tuple[str, ...]] = {
+    "simulate": ("problem", "model", "n", "p", "T", "trials", "seed", "query_every"),
+    "bench": ("n", "p_grid", "T", "trials", "seed"),
+    "reduce --mode sol": ("mode", "n", "p", "trials", "seed"),
+    "reduce --mode p3general": ("mode", "n", "p", "T", "trials", "seed"),
+    "reduce --mode omv-chain": ("mode", "n", "trials", "seed"),
 }
+
+# the allowed names of each field that names a choice
+CHOICES = {"problem": PROBLEMS, "model": MODELS, "mode": tuple(REDUCE_MODES)}
 
 
 def cmd_reduce(config: ExperimentConfig) -> Tuple[List[MetricRow], bool]:
     """Rows of the reduce mode's error rates, and whether it made no error."""
     config.validate_for("reduce")
-    problem, run_mode, _ = REDUCE_MODES[config.mode]
+    problem, run_mode = REDUCE_MODES[config.mode]
     results = list(run_mode(config))
     rows = [
         MetricRow(trial, config.p, config.n, T, problem, "reduction", "error_rate", errors / checks)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,7 @@ BAD_CONFIGS = [
     {"n": 10.0},
     {"trials": True},
     {"seed": None},
+    {"seed": -1},
     {"p": "0.5"},
     {"p_grid": [0.5, "1"]},
     {"p_grid": 0.5},
@@ -266,6 +268,8 @@ def test_cli_bad_config_errors(tmp_path):
         ["reduce", "--mode", "omv-chain", "-T", "77"],
         ["reduce", "--mode", "sol", "-T", "5"],
         ["reduce", "-T", "5"],  # sol is the default mode
+        ["simulate", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
     ],
     ids=" ".join,
 )
@@ -273,6 +277,22 @@ def test_cli_rejects_flags_the_command_does_not_honour(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+
+
+# the command line that runs each experiment -> the config fields it reads,
+# besides out and timings_out
+EXPERIMENT_READS = {
+    "simulate": {"problem", "model", "n", "p", "T", "trials", "seed", "query_every"},
+    "bench": {"n", "p_grid", "T", "trials", "seed"},
+    "reduce --mode sol": {"mode", "n", "p", "trials", "seed"},
+    "reduce --mode p3general": {"mode", "n", "p", "T", "trials", "seed"},
+    "reduce --mode omv-chain": {"mode", "n", "trials", "seed"},
+}
+# a value of each field that passes validation for every experiment
+VALID_VALUES = dict(
+    problem="st4", model="adaptive", n=4, p=0.5, p_grid=[0.5], T=7, trials=1, seed=1,
+    query_every=5, mode="sol",
+)
 
 
 @pytest.mark.parametrize(
@@ -291,6 +311,16 @@ def test_cli_rejects_flags_the_command_does_not_honour(argv, capsys):
         ),
         (["simulate"], {"p_grid": [0.5]}, "simulate does not read the field(s) p_grid"),
         (["simulate"], {"mode": "sol"}, "simulate does not read the field(s) mode"),
+    ]
+    # every experiment, one field it does not read at a time
+    + [
+        (
+            experiment.split() + (["--p-grid", "0.5"] if experiment == "bench" else []),
+            {field: VALID_VALUES[field]},
+            f"{experiment} does not read the field(s) {field}",
+        )
+        for experiment, reads in EXPERIMENT_READS.items()
+        for field in sorted(VALID_VALUES.keys() - reads)
     ],
 )
 def test_cli_rejects_config_fields_the_command_does_not_read(
@@ -301,6 +331,33 @@ def test_cli_rejects_config_fields_the_command_does_not_read(
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--config", str(cfg)])
     assert exc.value.code == 2 and capsys.readouterr().err.rstrip().endswith(message)
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("simulate", "--config --out --timings --seed -n -T --trials --problem --model -p "
+                     "--query-every"),
+        ("bench", "--config --out --timings --seed -n -T --trials --p-grid"),
+        ("reduce", "--config --out --timings --seed -n -T --trials -p --mode"),
+        ("verify", "--seed"),
+    ],
+)
+def test_cli_option_sets(command, options, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    listed = re.findall(r"^  (-[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert exc.value.code == 0 and set(listed) == {"-h", *options.split()}
+
+
+@pytest.mark.parametrize("flag", ["--out", "--timings"])
+def test_cli_rejects_an_output_path_it_cannot_open_before_the_run(flag, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "-n", "10", "-T", "10", "--trials", "1", flag, str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and "error:" in captured.err
+    assert captured.out == ""  # nothing ran, so no CSV went to stdout
 
 
 def test_cli_runs_a_config_of_fields_the_command_reads(tmp_path):

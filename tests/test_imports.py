@@ -1,6 +1,7 @@
 """Every module-level import in ``smoothdyn`` is used by its module,
-every public module-level ``def`` or ``class`` is used somewhere, and
-every defaulted parameter is passed somewhere.
+every public module-level ``def`` or ``class`` and every public method of
+a public class is used somewhere, and every defaulted parameter is
+passed somewhere.
 
 Three ``ast`` scans.  Imports: each name a top-level ``import`` or
 ``from ... import`` binds must appear as a ``Name`` (which also covers the
@@ -71,18 +72,29 @@ def unused_imports(source: str) -> list:
 
 
 def unreferenced_public_names(modules: dict, users: dict) -> list:
-    """(module, name) of each public top-level def/class in ``modules`` that
-    no ``Name`` or attribute outside its own body, in ``modules`` or
+    """(module, name) of each public top-level def/class in ``modules``, and
+    (module, "Class.method") of each public method of a public class there,
+    that no ``Name`` or attribute outside its own body, in ``modules`` or
     ``users`` (both path -> source), refers to."""
     trees = {path: ast.parse(source) for path, source in {**modules, **users}.items()}
     unreferenced = []
     for path in modules:
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for name, node in _public_defs(trees[path]):
             if not any(_refers(tree, node) for tree in trees.values()):
-                unreferenced.append((Path(path).name, node.name))
+                unreferenced.append((Path(path).name, name))
     return unreferenced
+
+
+def _public_defs(tree: ast.Module):
+    """(name, node) of each public top-level def or class and each public
+    method of a public class, the method named ``Class.method``."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        for method in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                yield f"{node.name}.{method.name}", method
 
 
 def _refers(tree: ast.AST, definition: ast.AST) -> bool:
@@ -157,11 +169,18 @@ def test_scan_finds_unreferenced_public_names():
     modules = {
         "a.py": "def used():\n    return helper()\n\ndef helper():\n    return 1\n\n"
         "def recursive(k):\n    return recursive(k - 1)\n\nclass Lone:\n    pass\n\n"
-        "def _private():\n    pass\n",
-        "b.py": "import a\nx = a.used()\n",
+        "def _private():\n    pass\n\n"
+        "class Used:\n    def called(self):\n        pass\n\n"
+        "    def selfish(self):\n        return self.selfish()\n\n"
+        "    def _helper(self):\n        pass\n\n"
+        "class _Hidden:\n    def method(self):\n        pass\n",
+        "b.py": "import a\nx = a.used()\na.Used().called()\n",
     }
-    assert unreferenced_public_names(modules, {}) == [("a.py", "recursive"), ("a.py", "Lone")]
-    assert unreferenced_public_names(modules, {"user.py": "Lone()\n"}) == [("a.py", "recursive")]
+    assert unreferenced_public_names(modules, {}) == [
+        ("a.py", "recursive"), ("a.py", "Lone"), ("a.py", "Used.selfish")
+    ]
+    users = {"user.py": "Lone()\nobj.selfish()\n"}
+    assert unreferenced_public_names(modules, users) == [("a.py", "recursive")]
 
 
 def test_every_public_name_is_referenced():
