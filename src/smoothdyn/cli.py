@@ -1,6 +1,6 @@
 """Command-line front-end: simulate | bench | reduce | verify.
 
-An experiment command's flags are the config fields it reads (``harness.READS``).
+An experiment command's flags are the config fields it reads (``harness.EXPERIMENTS``).
 """
 
 from __future__ import annotations
@@ -10,18 +10,9 @@ import contextlib
 import sys
 import time
 from dataclasses import fields
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from .harness import (
-    CHOICES,
-    READS,
-    ExperimentConfig,
-    cmd_bench,
-    cmd_reduce,
-    cmd_simulate,
-    cmd_verify,
-    write_metrics,
-)
+from .harness import CHOICES, EXPERIMENTS, ExperimentConfig, cmd_verify, write_metrics
 
 
 def _p_grid(text: str) -> List[float]:
@@ -35,33 +26,34 @@ _FLAG_EXTRAS = {
 }
 
 
-def _add_experiment(subs, command: str, summary: str) -> argparse.ArgumentParser:
+def _add_experiment(subs, command: str, summary: str) -> None:
     """``command``'s parser: one flag per field its experiments read."""
-    sub = subs.add_parser(command, help=summary)
+    sub = subs.add_parser(command, help=summary, allow_abbrev=False)
     sub.add_argument("--config", help="JSON config file; flags override its fields")
     sub.add_argument("--out", help="CSV output path (default: stdout)")
     sub.add_argument("--timings", dest="timings_out", help="separate wall-time CSV")
-    reads = {name for key, names in READS.items() if key.split()[0] == command for name in names}
+    reads = {f for key, e in EXPERIMENTS.items() if key.split()[0] == command for f in e.reads}
     for name, default in ((f.name, f.default) for f in fields(ExperimentConfig)):
         if name in reads:
             flag = f"-{name}" if len(name) == 1 else "--" + name.replace("_", "-")
             settings = {"type": type(default), "choices": CHOICES.get(name)}
             sub.add_argument(flag, dest=name, **{**settings, **_FLAG_EXTRAS.get(name, {})})
-    return sub
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config-file fields overridden by flags; each must be valid and read."""
+def _build_config(args: argparse.Namespace) -> Tuple[ExperimentConfig, Callable]:
+    """Config-file fields overridden by flags, each valid and read; the config and its run."""
     from_file = ExperimentConfig.read_fields(args.config) if args.config else {}
     known = {f.name for f in fields(ExperimentConfig)}
     flags = {key: value for key, value in vars(args).items() if key in known and value is not None}
     given = {**from_file, **flags}
     config = ExperimentConfig(**given).validate_for(args.command)
-    command = next(k for k in (f"{args.command} --mode {config.mode}", args.command) if k in READS)
-    unread = sorted(given.keys() - {*READS[command], "out", "timings_out"})
+    keys = (f"{args.command} --mode {config.mode}", args.command)
+    command = next(key for key in keys if key in EXPERIMENTS)
+    reads, run = EXPERIMENTS[command]
+    unread = sorted(given.keys() - {*reads, "out", "timings_out"})
     if unread:
         raise ValueError(f"{command} does not read the field(s) {', '.join(unread)}")
-    return config
+    return config, run
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -70,17 +62,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Smoothed dynamic-graph counters, embeddings, and reductions.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, run, summary in [
-        ("simulate", lambda config: (cmd_simulate(config), True),
-         "drive a counter/decider against the oracle"),
-        ("bench", lambda config: (cmd_bench(config), True),
-         "amortized update-cost profile over a p grid"),
-        ("reduce", cmd_reduce, "run a reduction experiment"),
+    for command, summary in [
+        ("simulate", "drive a counter/decider against the oracle"),
+        ("bench", "amortized update-cost profile over a p grid"),
+        ("reduce", "run a reduction experiment"),
     ]:
-        _add_experiment(subs, command, summary).set_defaults(run=run)
-    subs.add_parser("verify", help="run the pinned-seed invariant battery").add_argument(
-        "--seed", type=int, default=0
-    )
+        _add_experiment(subs, command, summary)
+    subs.add_parser(
+        "verify", help="run the pinned-seed invariant battery", allow_abbrev=False
+    ).add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
 
@@ -98,7 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     with contextlib.ExitStack() as outputs:
         try:
-            config = _build_config(args)
+            config, run = _build_config(args)
             # open the output paths now, so that a bad one fails before the run
             out, timings = (
                 outputs.enter_context(open(path, "w", newline="")) if path else None
@@ -108,7 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(str(exc))
 
         start = time.perf_counter()
-        rows, ok = args.run(config)
+        rows, ok = run(config)
         elapsed = time.perf_counter() - start
         write_metrics(rows, out or sys.stdout)
         if timings:

@@ -25,10 +25,6 @@ from typing import AbstractSet, Optional
 from .graph import DynamicGraph, Pair
 
 
-class InvariantError(RuntimeError):
-    """An internal counter invariant failed; signals an implementation bug."""
-
-
 class TwoPathTable:
     """Per-node table c[u] = number of s-u 2-paths.
 

@@ -80,7 +80,7 @@ class ExperimentConfig:
     query_every: int = 0  # 0 -> T // 10
     out: Optional[str] = None
     timings_out: Optional[str] = None
-    mode: str = "sol"  # for cmd_reduce
+    mode: str = "sol"  # for reduce
 
     @classmethod
     def read_fields(cls, path: str) -> Dict[str, object]:
@@ -285,7 +285,9 @@ def cmd_simulate(config: ExperimentConfig) -> List[MetricRow]:
 
 
 def expensive_frac_prediction(p: float, n: int) -> float:
-    return p + (1.0 - p) * (2.0 * n) / pair_count(n)
+    """The share of :func:`bench_point`'s steps on an edge touching s = 0 or t = 1:
+    the adversary's s-edge w.p. p, else a uniform pair, 2n - 3 of C(n,2) of which do."""
+    return p + (1.0 - p) * (2 * n - 3) / pair_count(n)
 
 
 def bench_point(
@@ -341,58 +343,61 @@ def _reduce_p3general(config: ExperimentConfig) -> Iterator[Tuple[int, int, int,
 
 
 def _reduce_omv_chain(config: ExperimentConfig) -> Iterator[Tuple[int, int, int, int]]:
-    errors = 0
-    trials = config.trials
+    n, trials, errors = config.n, config.trials, 0
     rng = rngmod.trial_stream(config.seed, 0)
+    parity_via_split = lambda M, u, v: worstcase_to_average_split(M, u, v, f2_oumv_oracle, rng)
     for _ in range(trials):
-        n = config.n
         M = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
         u = rng.integers(0, 2, size=n, dtype=np.uint8)
         v = rng.integers(0, 2, size=n, dtype=np.uint8)
-        parity_via_split = lambda M_, u_, v_: worstcase_to_average_split(
-            M_, u_, v_, f2_oumv_oracle, rng
-        )
         got = omv_parity_reduction(M, u, v, parity_via_split, 20, rng)
-        want = int(int_oumv_oracle(M, u, v) > 0)
-        errors += got != want
+        errors += got != int(int_oumv_oracle(M, u, v) > 0)
     yield 0, trials, errors, trials
 
 
-class ReduceMode(NamedTuple):
-    problem: str  # the CSV problem column
-    run: Callable  # config -> iterator of (trial, T, errors, checks), one per row
+def _reduction(problem: str, results: Callable) -> Callable:
+    """A reduce mode's run: one error-rate row, in CSV problem ``problem``, per
+    ``(trial, T, errors, checks)`` of ``results(config)``, and whether none erred."""
+
+    def run(config: ExperimentConfig) -> Tuple[List[MetricRow], bool]:
+        done = list(results(config.validate_for("reduce")))
+        row = lambda trial, T, errors, checks: MetricRow(
+            trial, config.p, config.n, T, problem, "reduction", "error_rate", errors / checks
+        )
+        return [row(*result) for result in done], all(errors == 0 for _, _, errors, _ in done)
+
+    return run
 
 
-REDUCE_MODES: Dict[str, ReduceMode] = {
-    "sol": ReduceMode("sol-exact", _reduce_sol),
-    "p3general": ReduceMode("p3general", _reduce_p3general),
-    "omv-chain": ReduceMode("omv-chain", _reduce_omv_chain),
-}
+class Experiment(NamedTuple):
+    reads: Tuple[str, ...]  # the config fields it reads, besides out and timings_out
+    run: Callable  # config -> (rows, whether every check agreed)
 
-# the command line that runs each experiment -> the config fields it reads,
-# besides the output paths every experiment takes; the CLI's flags follow
-READS: Dict[str, Tuple[str, ...]] = {
-    "simulate": ("problem", "model", "n", "p", "T", "trials", "seed", "query_every"),
-    "bench": ("n", "p_grid", "T", "trials", "seed"),
-    "reduce --mode sol": ("mode", "n", "p", "trials", "seed"),
-    "reduce --mode p3general": ("mode", "n", "p", "T", "trials", "seed"),
-    "reduce --mode omv-chain": ("mode", "n", "trials", "seed"),
+
+# the command line that runs each experiment -> what it reads and how it runs;
+# the CLI's flags and its unread-field check follow from this table
+EXPERIMENTS: Dict[str, Experiment] = {
+    "simulate": Experiment(
+        ("problem", "model", "n", "p", "T", "trials", "seed", "query_every"),
+        lambda config: (cmd_simulate(config), True),
+    ),
+    "bench": Experiment(
+        ("n", "p_grid", "T", "trials", "seed"), lambda config: (cmd_bench(config), True)
+    ),
+    "reduce --mode sol": Experiment(
+        ("mode", "n", "p", "trials", "seed"), _reduction("sol-exact", _reduce_sol)
+    ),
+    "reduce --mode p3general": Experiment(
+        ("mode", "n", "p", "T", "trials", "seed"), _reduction("p3general", _reduce_p3general)
+    ),
+    "reduce --mode omv-chain": Experiment(
+        ("mode", "n", "trials", "seed"), _reduction("omv-chain", _reduce_omv_chain)
+    ),
 }
 
 # the allowed names of each field that names a choice
-CHOICES = {"problem": PROBLEMS, "model": MODELS, "mode": tuple(REDUCE_MODES)}
-
-
-def cmd_reduce(config: ExperimentConfig) -> Tuple[List[MetricRow], bool]:
-    """Rows of the reduce mode's error rates, and whether it made no error."""
-    config.validate_for("reduce")
-    problem, run_mode = REDUCE_MODES[config.mode]
-    results = list(run_mode(config))
-    rows = [
-        MetricRow(trial, config.p, config.n, T, problem, "reduction", "error_rate", errors / checks)
-        for trial, T, errors, checks in results
-    ]
-    return rows, all(errors == 0 for _, _, errors, _ in results)
+MODES = tuple(key.split()[-1] for key in EXPERIMENTS if key.startswith("reduce --mode "))
+CHOICES = {"problem": PROBLEMS, "model": MODELS, "mode": MODES}
 
 
 def cmd_verify(seed: int = 0) -> List[Tuple[str, bool, str]]:

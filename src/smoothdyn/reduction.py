@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .counters import InvariantError, STPath3Counter
+from .counters import STPath3Counter
 from .graph import DynamicGraph, Pair, pair, random_graph, uniform_pair
 from .oracles import bf_st_paths
 from .rng import BlockDraws, ExponentialDraws
@@ -126,23 +126,6 @@ class P3Layout:
         out += [self.bt_edge(j) for j in range(n)]
         out += [self.ab_edge(i, j) for i in range(n) for j in range(n)]
         return out
-
-    def classify(self, e: Pair) -> Optional[str]:
-        """The interior type "sA", "AB" or "Bt" of ``e``, else None."""
-        roles = {self._role(e[0]), self._role(e[1])}
-        for kind in ("sA", "AB", "Bt"):
-            if roles == set(kind):
-                return kind
-        return None
-
-    def _role(self, v: int) -> str:
-        if v == 0:
-            return "s"
-        if v <= self.n:
-            return "A"
-        if v <= 2 * self.n:
-            return "B"
-        return "t"
 
     def graph_of(self, M: np.ndarray, u: np.ndarray, v: np.ndarray) -> DynamicGraph:
         """Graph mirroring the matrix (AB) and the two vectors (sA / Bt)."""
@@ -485,6 +468,11 @@ def dadvp_verify_histogram(
 # -- sixteen-graph inclusion-exclusion -----------------------------------
 
 
+class InvariantError(RuntimeError):
+    """A sixteen-graph invariant failed (alpha outside [1/2, 1], a recombination
+    numerator not divisible by 16, or a part mismatch); signals an implementation bug."""
+
+
 def alpha_of(p, n: int):
     """Mixing coefficient alpha and induced p' = alpha * p.
 
@@ -529,8 +517,9 @@ class SixteenPack:
         n = layout.n
         self.layout = layout
         self.interior = interior.copy()
+        self.interior_pairs = frozenset(layout.interior_edges())
         for e in self.interior.edges():
-            if layout.classify(e) is None:
+            if e not in self.interior_pairs:
                 raise ValueError(f"interior graph holds exterior edge {e}")
         a_nodes = [layout.a(i) for i in range(n)]
         b_nodes = [layout.b(j) for j in range(n)]
@@ -564,7 +553,7 @@ class SixteenPack:
         interior = rng.random() < self.alpha
         if interior:
             e = next_interior()
-            if self.layout.classify(e) is None:
+            if e not in self.interior_pairs:
                 raise ValueError(f"interior source produced exterior edge {e}")
             self.interior.flip(*e)
         else:

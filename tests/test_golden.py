@@ -31,12 +31,12 @@ from smoothdyn.counters import (
 )
 from smoothdyn.graph import all_pairs, random_graph, uniform_pair
 from smoothdyn.harness import (
+    EXPERIMENTS,
     MODELS,
     PROBLEMS,
     ExperimentConfig,
     bench_point,
     cmd_bench,
-    cmd_reduce,
     cmd_simulate,
     write_metrics,
 )
@@ -126,7 +126,9 @@ def bench_output() -> str:
 
 
 def reduce_output(mode: str, **kwargs) -> str:
-    rows, ok = cmd_reduce(ExperimentConfig(mode=mode, seed=SEED, **kwargs))
+    rows, ok = EXPERIMENTS[f"reduce --mode {mode}"].run(
+        ExperimentConfig(mode=mode, seed=SEED, **kwargs)
+    )
     return _csv(rows) + repr(ok)
 
 

@@ -6,13 +6,14 @@ import re
 import pytest
 
 from smoothdyn.cli import main
+from smoothdyn.graph import all_pairs, pair_count
 from smoothdyn.harness import (
     CSV_HEADER,
+    EXPERIMENTS,
     ExperimentConfig,
     MetricRow,
     bench_point,
     cmd_bench,
-    cmd_reduce,
     cmd_simulate,
     cmd_verify,
     expensive_frac_prediction,
@@ -148,6 +149,13 @@ def test_bench_prediction_and_ratio():
     assert ops_p1 / ops_p0 >= 20  # adversarial hammering is far costlier
 
 
+def test_expensive_frac_prediction_counts_the_pairs_touching_s_or_t():
+    for n in range(3, 41):
+        touching = sum(1 for e in all_pairs(n) if 0 in e or 1 in e)
+        assert expensive_frac_prediction(0.0, n) == pytest.approx(touching / pair_count(n))
+        assert expensive_frac_prediction(1.0, n) == 1.0
+
+
 def test_cmd_bench_rows():
     cfg = ExperimentConfig(n=50, T=200, trials=2, p_grid=[0.2, 1.0])
     rows = cmd_bench(cfg)
@@ -156,15 +164,19 @@ def test_cmd_bench_rows():
         cmd_bench(ExperimentConfig(n=50, T=200, p_grid=None))
 
 
+def reduce_run(config: ExperimentConfig):
+    return EXPERIMENTS[f"reduce --mode {config.mode}"].run(config)
+
+
 def test_cmd_reduce_modes():
-    rows, ok = cmd_reduce(ExperimentConfig(mode="sol", n=4, p=0.5, trials=3))
+    rows, ok = reduce_run(ExperimentConfig(mode="sol", n=4, p=0.5, trials=3))
     assert ok and all(r.value == 0.0 for r in rows)
-    rows, ok = cmd_reduce(ExperimentConfig(mode="p3general", n=4, p=0.5, T=100, trials=2))
+    rows, ok = reduce_run(ExperimentConfig(mode="p3general", n=4, p=0.5, T=100, trials=2))
     assert ok and all(r.value == 0.0 for r in rows)
-    rows, ok = cmd_reduce(ExperimentConfig(mode="omv-chain", n=4, trials=20))
+    rows, ok = reduce_run(ExperimentConfig(mode="omv-chain", n=4, trials=20))
     assert ok and rows[0].value == 0.0
-    with pytest.raises(ValueError):
-        cmd_reduce(ExperimentConfig(mode="bogus"))
+    with pytest.raises(ValueError, match="p > 0"):  # validated before the first trial
+        reduce_run(ExperimentConfig(mode="sol", p=0.0))
 
 
 def test_cmd_verify_all_pass():
@@ -270,6 +282,10 @@ def test_cli_bad_config_errors(tmp_path):
         ["reduce", "-T", "5"],  # sol is the default mode
         ["simulate", "--seed", "-1"],
         ["verify", "--seed", "-1"],
+        # abbreviated flags
+        ["simulate", "--trial", "1"],
+        ["bench", "--p-gr", "0.5"],
+        ["simulate", "--mode", "sol"],
     ],
     ids=" ".join,
 )
@@ -288,6 +304,12 @@ EXPERIMENT_READS = {
     "reduce --mode p3general": {"mode", "n", "p", "T", "trials", "seed"},
     "reduce --mode omv-chain": {"mode", "n", "trials", "seed"},
 }
+
+
+def test_experiments_read_the_pinned_fields():
+    assert {key: set(entry.reads) for key, entry in EXPERIMENTS.items()} == EXPERIMENT_READS
+
+
 # a value of each field that passes validation for every experiment
 VALID_VALUES = dict(
     problem="st4", model="adaptive", n=4, p=0.5, p_grid=[0.5], T=7, trials=1, seed=1,

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothdyn.counters import InvariantError
 from smoothdyn.graph import DynamicGraph, pair, random_graph
 from smoothdyn.oracles import bf_st_paths
 from smoothdyn.reduction import (
     EXTERIOR_TYPES,
     ChangeDistribution,
+    InvariantError,
     P3Layout,
     ParitySamplingError,
     SixteenPack,
@@ -91,12 +91,13 @@ def test_poisson_even_mass():
 def test_layout_roles_and_edges():
     lay = P3Layout(3)
     assert lay.n_nodes == 8 and lay.s == 0 and lay.t == 7
-    assert lay.classify((0, 1)) == "sA"
-    assert lay.classify((1, 4)) == "AB"
-    assert lay.classify((4, 7)) == "Bt"
-    assert lay.classify((0, 7)) is None  # the (s,t) pair
-    assert lay.classify((1, 2)) is None  # AA
-    assert len(lay.interior_edges()) == 3 * (3 + 2)
+    interior = set(lay.interior_edges())
+    assert (0, 1) in interior  # sA
+    assert (1, 4) in interior  # AB
+    assert (4, 7) in interior  # Bt
+    assert (0, 7) not in interior  # the (s,t) pair
+    assert (1, 2) not in interior  # AA
+    assert len(interior) == len(lay.interior_edges()) == 3 * (3 + 2)
 
 
 def test_layout_graph_of_matches_oracle():
