@@ -3,9 +3,10 @@
 An embedding task asks an adversary to realize a prescribed flip set
 R' inside a controlled region R of node pairs, while each step is only
 kept with probability p (and replaced by a uniformly random flip
-otherwise).  The adaptive strategy watches the realized graph and
-re-proposes still-needed flips; the oblivious add/remove strategy
-round-robins idempotent add/remove proposals toward known targets.
+otherwise), both drawn by :class:`~smoothdyn.smoothing.SmoothedSource`.
+The adaptive strategy watches the realized graph and re-proposes
+still-needed flips; the oblivious add/remove strategy cycles idempotent
+add/remove proposals toward known targets by step index.
 
 :func:`multiphase_embed` realizes k flip batches of at most r_hat flips
 one after another, each as an adaptive embedding cut off after
@@ -21,11 +22,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .graph import DynamicGraph, Pair, pair, uniform_pair
-from .rng import BlockDraws
+from .graph import DynamicGraph, Pair, pair
 from .smoothing import (
+    Kind,
     Model,
     Provenance,
+    ScriptedFlipAdversary,
     SmoothedSource,
     SmoothingParams,
     notify_and_flip,
@@ -200,34 +202,33 @@ def run_oblivious_ar_embed(
     budget: int,
     rng: np.random.Generator,
 ) -> EmbedResult:
-    """Oblivious add/remove embedding of R' inside R.
+    """Oblivious add/remove embedding of R' inside R on :class:`SmoothedSource`.
 
-    The adversary knows the intended pre-state of every R' edge and
-    round-robins idempotent Add/Remove proposals toward the flipped
-    targets; it gets no feedback.  Success is measured post hoc as
-    (G xor G_start) intersected with R equal to R' exactly.  Only the
-    region's edge states are tracked; flips outside R cannot affect the
-    outcome.
+    The adversary knows the intended pre-state of every R' edge and at
+    step i proposes the idempotent Add/Remove toward R'[i mod r']'s
+    flipped target; it gets no feedback, not even the coins.  Success is
+    measured post hoc as (G xor G_start) intersected with R equal to R'
+    exactly.  Only the region's edge states are tracked; flips outside R
+    cannot affect the outcome.
     """
     region_pairs = [pair(u, v) for u, v in region]
     flip_list = [pair(u, v) for u, v in flips]
     bits = rng.random(len(region_pairs)) < 0.5
-    state = {e: bool(b) for e, b in zip(region_pairs, bits)}
-    start = dict(state)
-    target = {e: not start[e] for e in flip_list}
+    start = {e: bool(b) for e, b in zip(region_pairs, bits)}
+    state = dict(start)
+    moves = ScriptedFlipAdversary([(e, Kind.REMOVE if start[e] else Kind.ADD) for e in flip_list])
+    source = SmoothedSource(Model.OBLIVIOUS_AR, SmoothingParams(p), moves, n, rng=rng)
     hits = 0
-    k = 0
-    with BlockDraws(rng) as draws:
+    try:
         for _ in range(budget):
-            if draws.random() < p:
-                e = flip_list[k % len(flip_list)]
-                k += 1
-                state[e] = target[e]  # idempotent add/remove toward the target
-            else:
-                f = uniform_pair(n, draws)
-                if f in state:
-                    state[f] = not state[f]
-                    hits += 1
+            e, kind, provenance = source.next_change()
+            if provenance is Provenance.ADVERSARIAL:
+                state[e] = kind is Kind.ADD
+            elif e in state:
+                state[e] = not state[e]
+                hits += 1
+    finally:
+        source.close()
     flip_set = set(flip_list)
     success = all(
         (state[e] != start[e]) == (e in flip_set) for e in region_pairs

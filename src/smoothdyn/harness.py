@@ -339,7 +339,7 @@ def _reduce_p3general(config: ExperimentConfig) -> Iterator[Tuple[int, int, int,
         rng = rngmod.trial_stream(config.seed, trial)
         run = run_p3_to_general(config.n, config.p, config.T, max(1, config.T // 20), rng)
         mism = sum(1 for _, rec, orc in run.queries if rec != orc)
-        yield trial, config.T, mism, max(len(run.queries), 1)
+        yield trial, config.T, mism, len(run.queries)
 
 
 def _reduce_omv_chain(config: ExperimentConfig) -> Iterator[Tuple[int, int, int, int]]:

@@ -5,7 +5,7 @@ Contents:
 * exact Poisson sampling (sequential exponential spacings) and
   parity-conditioned Poisson sampling;
 * the adversarial change distribution over a P3-partite layout and a
-  histogram authenticity check against synthesized reduction sequences;
+  histogram authenticity check of the solver's own change sequences;
 * the three-copy solver answering online u^T M v over F2 through s-t
   3-path counters;
 * the sixteen-graph construction that recovers a restricted instance's
@@ -120,18 +120,18 @@ class P3Layout:
     def ab_edge(self, i: int, j: int) -> Pair:
         return pair(self.a(i), self.b(j))
 
+    def side_edges(self) -> List[Pair]:
+        """The n sA edges, then the n Bt edges: the pairs of u's and v's entries."""
+        return [self.sa_edge(i) for i in range(self.n)] + [self.bt_edge(j) for j in range(self.n)]
+
     def interior_edges(self) -> List[Pair]:
         n = self.n
-        out = [self.sa_edge(i) for i in range(n)]
-        out += [self.bt_edge(j) for j in range(n)]
-        out += [self.ab_edge(i, j) for i in range(n) for j in range(n)]
-        return out
+        return self.side_edges() + [self.ab_edge(i, j) for i in range(n) for j in range(n)]
 
     def graph_of(self, M: np.ndarray, u: np.ndarray, v: np.ndarray) -> DynamicGraph:
         """Graph mirroring the matrix (AB) and the two vectors (sA / Bt)."""
         n = self.n
-        edges = [self.sa_edge(i) for i in range(n) if u[i]]
-        edges += [self.bt_edge(j) for j in range(n) if v[j]]
+        edges = [e for e, bit in zip(self.side_edges(), np.concatenate([u, v])) if bit]
         edges += [self.ab_edge(i, j) for i in range(n) for j in range(n) if M[i][j]]
         return DynamicGraph(self.n_nodes, edges)
 
@@ -281,14 +281,47 @@ st3_counter_factory = STPath3Counter
 exact_st3_counter_factory = ExactST3Counter
 
 
+def round_sequences(
+    layout: P3Layout, lam_side: float, lam_ab: float, dif: Sequence[int], rng: np.random.Generator
+) -> List[List[Pair]]:
+    """The three copies' shuffled change sequences for one solver round.
+
+    ``dif`` holds the round's 2n difference bits, u_dif then v_dif.  Every
+    copy gets Poisson(lam_side) changes of each side edge, of the parity
+    of its bit; copy j's Poisson(lam_ab) batch of uniform AB changes goes
+    to the other two copies.  Same stream as scalar draws in this order:
+    side parities, per copy its AB count and its 2z endpoints (i0, j0, i1,
+    j1, ...), then the three shuffles.  Exponentials come in array scopes,
+    closed before each integers().
+    """
+    shared: List[Pair] = []
+    with ExponentialDraws(rng) as draws:
+        for e, bit in zip(layout.side_edges(), dif):
+            shared.extend([e] * poisson_parity_conditional(lam_side, bit, draws))
+        z = poisson_sample(lam_ab, draws) if lam_ab > 0 else 0
+    seqs: List[List[Pair]] = [list(shared) for _ in range(3)]
+    for j in range(3 if lam_ab > 0 else 0):
+        if j:
+            with ExponentialDraws(rng) as draws:
+                z = poisson_sample(lam_ab, draws)
+        ends = rng.integers(layout.n, size=2 * z).tolist()
+        batch = list(map(layout.ab_edge, ends[::2], ends[1::2]))
+        for seq in seqs[:j] + seqs[j + 1 :]:
+            seq.extend(batch)
+    for seq in seqs:
+        rng.shuffle(seq)
+    return seqs
+
+
 class ParityOuMvSolver:
     """Answers online u^T M v over F2 through three st3 counters.
 
     Three graph copies, all initially mirroring (M, u_0, v_0), absorb
     each round's difference vectors through a shared parity-exact batch
     of side-edge changes plus pairwise-shared Poisson batches of AB
-    changes; the AB batches cancel mod 2 so the three matrices always
-    sum to M over F2, and the answer is the parity of the three queries.
+    changes (:func:`round_sequences`); the AB batches cancel mod 2 so the
+    three matrices always sum to M over F2, and the answer is the parity
+    of the three queries.
     """
 
     def __init__(
@@ -300,13 +333,11 @@ class ParityOuMvSolver:
         counter_factory: Callable[[DynamicGraph, int, int], object],
         rng: np.random.Generator,
     ):
-        self.n = len(u0)
-        self.p = p
+        n = len(u0)
         self.rng = rng
-        self.layout = P3Layout(self.n)
-        self.t_param = rounds_parameter(self.n, p)
-        self.dist = ChangeDistribution(p, self.n)
-        self.lam_side, self.lam_ab = self.dist.poisson_rates(self.t_param)
+        self.layout = P3Layout(n)
+        dist = ChangeDistribution(p, n)
+        self.lam_side, self.lam_ab = dist.poisson_rates(rounds_parameter(n, p))
         self.graphs = [self.layout.graph_of(M, u0, v0) for _ in range(3)]
         self.counters = [
             counter_factory(g, self.layout.s, self.layout.t) for g in self.graphs
@@ -317,42 +348,15 @@ class ParityOuMvSolver:
     def initial_answer(self) -> int:
         return self.counters[0].query() % 2
 
-    def _apply(self, j: int, seq: List[Pair]) -> None:
-        g, observers = self.graphs[j], (self.counters[j],)
-        for e in seq:
-            notify_and_flip(g, e, observers)
-
     def round(self, u: np.ndarray, v: np.ndarray) -> int:
-        layout, rng, n = self.layout, self.rng, self.n
         u = np.asarray(u, dtype=np.uint8) % 2
         v = np.asarray(v, dtype=np.uint8) % 2
-        u_dif = u ^ self.u_prev
-        v_dif = v ^ self.v_prev
-        # Same stream as scalar draws in this order: side parities, then
-        # per copy its AB count and its 2z endpoints (i0, j0, i1, j1, ...).
-        # Exponentials come in array scopes, closed before each integers().
-        shared: List[Pair] = []
-        with ExponentialDraws(rng) as draws:
-            for i, bit in enumerate(u_dif.tolist()):
-                z = poisson_parity_conditional(self.lam_side, bit, draws)
-                shared.extend([layout.sa_edge(i)] * z)
-            for j, bit in enumerate(v_dif.tolist()):
-                z = poisson_parity_conditional(self.lam_side, bit, draws)
-                shared.extend([layout.bt_edge(j)] * z)
-            z = poisson_sample(self.lam_ab, draws) if self.lam_ab > 0 else 0
-        seqs: List[List[Pair]] = [list(shared) for _ in range(3)]
-        for j in range(3 if self.lam_ab > 0 else 0):
-            if j:
-                with ExponentialDraws(rng) as draws:
-                    z = poisson_sample(self.lam_ab, draws)
-            ends = rng.integers(n, size=2 * z).tolist()
-            batch = list(map(layout.ab_edge, ends[::2], ends[1::2]))
-            for other in range(3):
-                if other != j:
-                    seqs[other].extend(batch)
-        for j in range(3):
-            rng.shuffle(seqs[j])
-            self._apply(j, seqs[j])
+        dif = np.concatenate([u ^ self.u_prev, v ^ self.v_prev]).tolist()
+        seqs = round_sequences(self.layout, self.lam_side, self.lam_ab, dif, self.rng)
+        for g, counter, seq in zip(self.graphs, self.counters, seqs):
+            observers = (counter,)
+            for e in seq:
+                notify_and_flip(g, e, observers)
         self.u_prev, self.v_prev = u, v
         return sum(c.query() for c in self.counters) % 2
 
@@ -388,7 +392,7 @@ def sol_solve(
 
 @dataclass
 class HistogramFit:
-    type_counts: np.ndarray  # 2 x 3: rows genuine/synthesized, cols sA/Bt/AB
+    type_counts: np.ndarray  # 2 x 3: rows genuine/solver's, cols sA/Bt/AB
     type_pvalue: float
     length_pvalue: float
 
@@ -425,43 +429,36 @@ def dadvp_verify_histogram(
     samples: int,
     rng: np.random.Generator,
 ) -> HistogramFit:
-    """Compare synthesized reduction sequences against genuine ones.
+    """Compare the solver's change sequences against genuine ones.
 
     Genuine: Poisson(t)-length i.i.d. samples from the adversarial change
-    distribution.  Synthesized: one copy's sequence built by the solver's
-    construction, with the round's difference vectors themselves drawn
-    from the adversarial process.  Compares edge-type occupancy and total
-    sequence length by chi-square.
+    distribution.  Solver's: copy 0's sequence from :func:`round_sequences`,
+    with the round's difference bits themselves drawn from the adversarial
+    process.  Compares edge-type occupancy and total sequence length by
+    chi-square.
     """
+    layout = P3Layout(n)
     t_param = rounds_parameter(n, p)
     dist = ChangeDistribution(p, n)
     lam_side, lam_ab = dist.poisson_rates(t_param)
-    p_side_total = 2 * n * dist.q_side
-    p_mid_total = n * n * dist.q_mid
-    probs = [p_side_total / 2.0, p_side_total / 2.0, p_mid_total]
+    probs = [n * dist.q_side, n * dist.q_side, n * n * dist.q_mid]  # sA, Bt, AB
     genuine = np.empty((samples, 3), dtype=np.int64)
     for i in range(samples):
         with ExponentialDraws(rng) as draws:
             length = poisson_sample(t_param, draws)
         genuine[i] = rng.multinomial(length, probs)
-    synth = np.empty((samples, 3), dtype=np.int64)
-    with ExponentialDraws(rng) as draws:
-        for i in range(samples):
-            n_sa = n_bt = 0
-            for _ in range(n):  # sA edges
-                parity = poisson_sample(lam_side, draws) % 2  # u_dif entry
-                n_sa += poisson_parity_conditional(lam_side, parity, draws)
-            for _ in range(n):  # Bt edges
-                parity = poisson_sample(lam_side, draws) % 2
-                n_bt += poisson_parity_conditional(lam_side, parity, draws)
-            n_ab = 0
-            if lam_ab > 0:
-                n_ab = poisson_sample(lam_ab, draws) + poisson_sample(lam_ab, draws)
-            synth[i] = (n_sa, n_bt, n_ab)
-    totals = np.vstack([genuine.sum(axis=0), synth.sum(axis=0)])
+    solver = np.empty((samples, 3), dtype=np.int64)
+    for i in range(samples):
+        with ExponentialDraws(rng) as draws:
+            dif = [poisson_sample(lam_side, draws) % 2 for _ in range(2 * n)]
+        seq = round_sequences(layout, lam_side, lam_ab, dif, rng)[0]
+        n_sa = sum(e[0] == layout.s for e in seq)
+        n_bt = sum(e[1] == layout.t for e in seq)
+        solver[i] = (n_sa, n_bt, len(seq) - n_sa - n_bt)
+    totals = np.vstack([genuine.sum(axis=0), solver.sum(axis=0)])
     cols = totals.sum(axis=0) > 0
     type_p = _chi2_pvalue(totals[:, cols]) if cols.sum() > 1 else 1.0
-    length_p = _two_sample_chi2_pvalue(genuine.sum(axis=1), synth.sum(axis=1))
+    length_p = _two_sample_chi2_pvalue(genuine.sum(axis=1), solver.sum(axis=1))
     return HistogramFit(totals, type_p, length_p)
 
 

@@ -250,12 +250,13 @@ class UniformFlipAdversary:
 
 
 class ScriptedFlipAdversary:
-    """Oblivious flip proposals cycling through a fixed edge list."""
+    """Oblivious proposals cycling through a fixed list by step index:
+    pairs, or ``(pair, kind)`` for the add/remove model."""
 
-    def __init__(self, edges: Sequence[Pair]):
-        self._edges = [pair(u, v) for u, v in edges]
+    def __init__(self, edges: Sequence):
+        self._edges = list(edges)
 
-    def propose(self, step: int) -> Pair:
+    def propose(self, step: int):
         return self._edges[step % len(self._edges)]
 
 

@@ -150,6 +150,8 @@ def test_c05_oblivious_ar_embedding():
     region = list(all_pairs(n))[:r]
     flips = region[:r_prime]
     bound = oblivious_ar_failure_bound(r_prime, r, n, q, budget)
+    # P(>= 1 region hit): uniform replacements draw from C(n,2) pairs, not n^2
+    hit_prediction = 1.0 - math.exp(-q * budget * r / math.comb(n, 2))
     rng = trial_stream(105, 0)
     failures = sum(
         not run_oblivious_ar_embed(n, region, flips, p, budget, rng).success
@@ -161,7 +163,8 @@ def test_c05_oblivious_ar_embedding():
         "oblivious-ar-embedding",
         rate <= bound and elapsed < 60.0,
         f"failure rate {rate:.4f} vs evaluated bound {bound:.4f} "
-        f"(l={budget}), {elapsed:.1f}s (< 60s)",
+        f"(l={budget}; C(n,2) region-hit prediction {hit_prediction:.4f}), "
+        f"{elapsed:.1f}s (< 60s)",
     )
 
 

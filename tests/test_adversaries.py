@@ -12,6 +12,7 @@ from smoothdyn.adversaries import (
 )
 from smoothdyn.graph import all_pairs, pair, random_graph
 from smoothdyn.rng import trial_stream
+from smoothdyn.smoothing import Kind, Provenance, SmoothedSource
 
 
 def region_around(nodes):
@@ -171,15 +172,16 @@ def _reference_adaptive_embed(g, task, rng):
 
 
 def _reference_oblivious_ar_embed(n, region, flips, p, budget, rng):
-    """``run_oblivious_ar_embed`` with plain numpy scalar draws."""
+    """``run_oblivious_ar_embed`` with plain numpy scalar draws: step i
+    proposes the move of flips[i mod r'] to its target, whatever the
+    earlier coins were."""
     pairs = list(all_pairs(n))
     state = {e: bool(b) for e, b in zip(region, rng.random(len(region)) < 0.5)}
     start = dict(state)
-    hits = k = 0
-    for _ in range(budget):
+    hits = 0
+    for i in range(budget):
         if rng.random() < p:
-            e = flips[k % len(flips)]
-            k += 1
+            e = flips[i % len(flips)]
             state[e] = not start[e]
         else:
             f = pairs[int(rng.integers(len(pairs)))]
@@ -208,6 +210,30 @@ def test_embeddings_hand_back_the_generator_as_plain_draws_would(trial):
     assert got == _reference_oblivious_ar_embed(n, region, flips, 0.6, 30, twin)
     assert rng.bit_generator.state == twin.bit_generator.state
     assert rng.integers(435) == twin.integers(435)
+
+
+def test_oblivious_ar_embed_proposals_follow_the_step_index(monkeypatch):
+    """Every adversarial event at step i is the move of flips[i mod r'] toward
+    its target, whatever the coins were: the adversary gets no feedback."""
+    events = []
+    next_change = SmoothedSource.next_change
+
+    def recording(self, graph=None):
+        events.append(next_change(self, graph))
+        return events[-1]
+
+    monkeypatch.setattr(SmoothedSource, "next_change", recording)
+    n, region = 30, sorted(region_around(range(6)))
+    flips = [(b, a) for a, b in region[:4]]  # given uncanonical
+    rng, twin = trial_stream(12, 0), trial_stream(12, 0)
+    start = dict(zip(region, twin.random(len(region)) < 0.5))
+    run_oblivious_ar_embed(n, region, flips, 0.5, 40, rng)
+    kept = [(i, ev) for i, ev in enumerate(events) if ev.provenance is Provenance.ADVERSARIAL]
+    assert len(events) == 40 and 0 < len(kept) < 40
+    for i, ev in kept:
+        e = pair(*flips[i % len(flips)])
+        assert ev.edge == e
+        assert ev.kind is (Kind.REMOVE if start[e] else Kind.ADD)
 
 
 def test_failure_bound_values():

@@ -151,7 +151,7 @@ def solver_output() -> str:
 
 
 def histogram_output() -> str:
-    """Edge-type counts of genuine and synthesized reduction sequences."""
+    """Edge-type counts of genuine and the solver's change sequences."""
     fit = dadvp_verify_histogram(0.5, 4, 60, trial_stream(SEED, 0))
     return repr(fit.type_counts.tolist())
 
@@ -233,7 +233,7 @@ DIGESTS = {
     "reduce-p3general": "8a8eed373b5bc96d",
     "reduce-omv-chain": "729caec3b199d93f",
     "sol-solver-st3": "0989b82c85dd02c9",
-    "dadvp-histogram": "61b244ef27fc587c",
+    "dadvp-histogram": "da4397c40d7f5326",
     "adaptive-embed": "e671d31c39e56a98",
     "oblivious-ar-embed": "865f988aef2cd4d0",
     "p3-to-general": "d851d6bfffd3c6d1",

@@ -1,3 +1,4 @@
+import copy
 import io
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from smoothdyn.reduction import (
     ChangeDistribution,
     InvariantError,
     P3Layout,
+    ParityOuMvSolver,
     ParitySamplingError,
     SixteenPack,
     alpha_of,
@@ -27,6 +29,7 @@ from smoothdyn.reduction import (
     poisson_sample,
     random_oumv_instance,
     read_oumv_instance,
+    round_sequences,
     rounds_parameter,
     run_p3_to_general,
     sol_solve,
@@ -217,8 +220,6 @@ def test_sol_incremental_counters_agree():
 
 def test_sol_matrices_xor_to_m():
     # invariant: the three AB layers always sum to M over F2
-    from smoothdyn.reduction import ParityOuMvSolver
-
     rng = trial_stream(8, 0)
     inst = random_oumv_instance(4, rng)
     u0, v0 = inst.rounds[0]
@@ -241,6 +242,38 @@ def test_sol_constant_rounds_stay_correct():
     out = sol_solve(inst, 0.5, exact_st3_counter_factory, rng)
     assert out.errors == 0
     assert len(set(out.oracle_answers)) == 1
+
+
+def test_round_applies_what_round_sequences_returns():
+    """Each copy's counter receives exactly the flips ``round_sequences``
+    returns for the generator state and difference vectors ``round`` sees."""
+    received = []
+
+    class RecordingCounter:
+        def __init__(self, g, s, t):
+            self.flips = []
+            received.append(self.flips)
+
+        def update(self, e, now_present):
+            self.flips.append(e)
+
+        def query(self):
+            return 0
+
+    rng = trial_stream(9, 1)
+    inst = random_oumv_instance(4, rng)
+    u_prev, v_prev = inst.rounds[0]
+    solver = ParityOuMvSolver(inst.M, u_prev, v_prev, 0.5, RecordingCounter, rng)
+    for u, v in inst.rounds[1:]:
+        twin = copy.deepcopy(rng)
+        dif = [*(u ^ u_prev), *(v ^ v_prev)]
+        expected = round_sequences(solver.layout, solver.lam_side, solver.lam_ab, dif, twin)
+        for flips in received:
+            flips.clear()
+        solver.round(u, v)
+        assert received == expected and all(expected)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        u_prev, v_prev = u, v
 
 
 def test_dadvp_histogram_fit():
