@@ -209,10 +209,13 @@ def run_oblivious_ar_embed(
     flipped target; it gets no feedback, not even the coins.  Success is
     measured post hoc as (G xor G_start) intersected with R equal to R'
     exactly.  Only the region's edge states are tracked; flips outside R
-    cannot affect the outcome.
+    cannot affect the outcome.  A bad R' raises :class:`InfeasibleTaskError`
+    before any draw.
     """
+    flip_list = EmbeddingTask(n, region, flips, p, budget).flips  # R' in R, no repeats
+    if not flip_list:
+        raise InfeasibleTaskError("the oblivious embedding needs a nonempty R'")
     region_pairs = [pair(u, v) for u, v in region]
-    flip_list = [pair(u, v) for u, v in flips]
     bits = rng.random(len(region_pairs)) < 0.5
     start = {e: bool(b) for e, b in zip(region_pairs, bits)}
     state = dict(start)

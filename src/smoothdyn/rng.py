@@ -43,9 +43,16 @@ ahead is not yet drawn as far as the generator knows.  ``close()``
 restores the state saved on open and fetches exactly the values used as
 one array, which leaves the generator where the same scalar calls would
 have; ``BlockDraws`` then writes back its 32-bit half-word buffer.
+Each value comes from one ``_next()`` that refills itself, a chain over
+a generator of blocks that holds no reference to its scope: a scope
+nobody closes (``simulate`` leaves its own open) is then freed by
+reference counting when dropped, not left to the cyclic collector.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -78,44 +85,49 @@ def trial_stream(seed: int, trial: int, *key: int) -> np.random.Generator:
     return stream(seed, TRIAL, trial, *key)
 
 
+def _blocks(fetch, fetched: list):
+    """Yield each ``fetch(k).tolist()`` block's iterator, keeping
+    ``fetched`` as [values fetched, current block]; never given a scope."""
+    size = _FIRST_BLOCK
+    while True:
+        fetched[1] = block = iter(fetch(size).tolist())
+        fetched[0] += size
+        yield block
+        size = min(2 * size, _MAX_BLOCK)
+
+
+def _closed(name: str):
+    raise RuntimeError(f"{name} used after close()")
+
+
 class _DrawsAhead:
     """Scalar draws served from ``fetch(k).tolist()`` arrays of a generator
-    (see the module docstring); a context manager that closes on exit."""
+    (see the module docstring); a context manager that closes on exit.
+    ``_next()`` chains the iterators of a :func:`_blocks` generator, which
+    shares only ``_fetched`` with the scope, never the scope itself."""
 
-    __slots__ = ("_gen", "_state", "_fetch", "_values", "_next", "_size", "_fetched")
+    __slots__ = ("_gen", "_state", "_fetch", "_fetched", "_next")
 
     def __init__(self, gen: np.random.Generator, fetch):
         self._gen = gen
         self._state = gen.bit_generator.state
         self._fetch = fetch
-        self._size = _FIRST_BLOCK
-        self._fetched = 0
-        self._values = iter(())
-        self._next = self._values.__next__
-
-    def _refill(self):
-        """Fetch the next block and return its first value."""
-        if self._gen is None:
-            raise RuntimeError(f"{type(self).__name__} used after close()")
-        self._values = iter(self._fetch(self._size).tolist())
-        self._next = self._values.__next__
-        self._fetched += self._size
-        self._size = min(2 * self._size, _MAX_BLOCK)
-        return self._next()
+        self._fetched = [0, None]
+        self._next = chain.from_iterable(_blocks(fetch, self._fetched)).__next__
 
     def close(self) -> None:
         """Hand the generator back in the state plain draws would leave."""
         gen = self._gen
         if gen is None:
             return
-        if self._fetched:
+        fetched, block = self._fetched
+        if fetched:
             gen.bit_generator.state = self._state
-            used = self._fetched - self._values.__length_hint__()
+            used = fetched - block.__length_hint__()
             if used:
                 self._fetch(used)
         self._gen = None
-        self._values = iter(())
-        self._next = self._values.__next__
+        self._next = partial(_closed, type(self).__name__)
 
     def __enter__(self):
         return self
@@ -126,12 +138,8 @@ class _DrawsAhead:
 
 class BlockDraws(_DrawsAhead):
     """Scalar ``random()`` and ``integers(N)`` draws of a PCG64 generator,
-    decoded from blocks of raw words (see the module docstring).
-
-    Each draw fetches its word inline (``self._next()``, refilling on
-    ``StopIteration``): a helper method would cost about as much as the
-    decoding it serves.
-    """
+    decoded from blocks of raw words (see the module docstring), each
+    fetched with one self-refilling ``self._next()``."""
 
     __slots__ = ("_has_half", "_half")
 
@@ -147,21 +155,14 @@ class BlockDraws(_DrawsAhead):
         if self._has_half:
             self._has_half = False
             return self._half
-        try:
-            w = self._next()
-        except StopIteration:
-            w = self._refill()
+        w = self._next()
         self._has_half = True
         self._half = w >> 32
         return w & 0xFFFFFFFF
 
     def random(self) -> float:
         """``Generator.random()``: a float in [0, 1)."""
-        try:
-            w = self._next()
-        except StopIteration:
-            w = self._refill()
-        return (w >> 11) * 2.0**-53
+        return (self._next() >> 11) * 2.0**-53
 
     def integers(self, n: int) -> int:
         """``Generator.integers(n)``: an int in [0, n), for 1 <= n <= 2**63."""
@@ -176,17 +177,11 @@ class BlockDraws(_DrawsAhead):
             return 0
         if not 0x100000000 < n <= 1 << 63:
             raise ValueError(f"integers({n}) outside 1 <= n <= 2**63")
-        try:
-            x = self._next()
-        except StopIteration:
-            x = self._refill()
+        x = self._next()
         if x * n & 0xFFFFFFFFFFFFFFFF < n:
             threshold = (1 << 64) % n
             while x * n & 0xFFFFFFFFFFFFFFFF < threshold:
-                try:
-                    x = self._next()
-                except StopIteration:
-                    x = self._refill()
+                x = self._next()
         return x * n >> 64
 
     def close(self) -> None:
@@ -213,7 +208,4 @@ class ExponentialDraws(_DrawsAhead):
 
     def standard_exponential(self) -> float:
         """``Generator.standard_exponential()``: an Exp(1) float."""
-        try:
-            return self._next()
-        except StopIteration:
-            return self._refill()
+        return self._next()

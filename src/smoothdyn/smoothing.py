@@ -255,6 +255,8 @@ class ScriptedFlipAdversary:
 
     def __init__(self, edges: Sequence):
         self._edges = list(edges)
+        if not self._edges:
+            raise ValueError("ScriptedFlipAdversary needs at least one proposal")
 
     def propose(self, step: int):
         return self._edges[step % len(self._edges)]

@@ -149,6 +149,17 @@ def test_oblivious_ar_embed_initial_state_and_region_isolation():
     assert res.success
 
 
+@pytest.mark.parametrize("flips", [[], [(0, 9)], [(0, 1), (1, 0)]])
+def test_oblivious_ar_embed_rejects_a_bad_flip_set_before_any_draw(flips):
+    """An empty R', a pair outside R and a repeated pair are rejected as
+    ``EmbeddingTask`` rejects them, and the generator does not move."""
+    rng = trial_stream(9, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(InfeasibleTaskError):
+        run_oblivious_ar_embed(20, region_around(range(4)), flips, 0.5, 10, rng)
+    assert rng.bit_generator.state == state
+
+
 def _reference_adaptive_embed(g, task, rng):
     """``run_adaptive_embed`` with plain numpy scalar draws: propose the
     first pending flip, keep it w.p. p, else flip a uniform pair."""

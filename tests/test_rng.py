@@ -9,6 +9,8 @@ release changes how it draws, these tests fail: the code must then
 follow numpy, and no pin is moved.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,31 @@ def test_exponential_draws_close_is_final():
     draws.close()  # a second close is a no-op
     with pytest.raises(RuntimeError):
         draws.standard_exponential()
+
+
+def _live_scopes() -> int:
+    return sum(isinstance(o, (BlockDraws, ExponentialDraws)) for o in gc.get_objects())
+
+
+def test_unclosed_scopes_are_freed_at_del():
+    """A scope dropped without ``close()`` is freed by reference counting:
+    nothing it owns refers back to it, so it never waits for the cyclic
+    collector.  Callers such as ``simulate`` leave their scopes unclosed."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _live_scopes()
+        block, expo = BlockDraws(stream(3)), ExponentialDraws(stream(4))
+        for _ in range(100):  # crosses refills
+            block.random()
+            block.integers(435)
+            expo.standard_exponential()
+        del block, expo
+        assert _live_scopes() == before
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("bound", [2, 3, 8, 16, 17, 100, 2**31 + 1, 2**32 - 1])

@@ -19,6 +19,7 @@ from smoothdyn.smoothing import (
     ScriptedFlipAdversary,
     SmoothedSource,
     SmoothingParams,
+    StarFlipAdversary,
     UniformFlipAdversary,
     apply_event,
     p_prime,
@@ -115,6 +116,13 @@ def test_next_change_p1_scripted():
     for _ in range(20):
         ev = source.next_change()
         assert ev == ChangeEvent((0, 1), Kind.FLIP, Provenance.ADVERSARIAL)
+
+
+def test_scripted_adversary_needs_a_proposal():
+    with pytest.raises(ValueError):
+        ScriptedFlipAdversary([])
+    with pytest.raises(ValueError):
+        StarFlipAdversary(1)  # a lone hub has no incident pair
 
 
 def test_next_change_p0_uniform_chi2():
@@ -333,7 +341,7 @@ def test_run_sequence_feeds_null_steps_as_updates():
 
 @given(st.lists(st.tuples(st.sampled_from(list(all_pairs(5))), st.booleans()), max_size=60))
 @settings(max_examples=50, deadline=None)
-def test_lazy_adapter_differential(ops):
+def test_null_steps_count_like_a_direct_run_on_the_realized_flips(ops):
     """A counter fed an add/remove stream, with each null step as
     ``update(None, False)``, counts what a direct run on the induced flips
     counts."""
