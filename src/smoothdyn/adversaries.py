@@ -209,13 +209,16 @@ def run_oblivious_ar_embed(
     flipped target; it gets no feedback, not even the coins.  Success is
     measured post hoc as (G xor G_start) intersected with R equal to R'
     exactly.  Only the region's edge states are tracked; flips outside R
-    cannot affect the outcome.  A bad R' raises :class:`InfeasibleTaskError`
-    before any draw.
+    cannot affect the outcome.  A bad R', or a region that names a pair
+    twice, raises :class:`InfeasibleTaskError` before any draw.
     """
     flip_list = EmbeddingTask(n, region, flips, p, budget).flips  # R' in R, no repeats
     if not flip_list:
         raise InfeasibleTaskError("the oblivious embedding needs a nonempty R'")
     region_pairs = [pair(u, v) for u, v in region]
+    if len(set(region_pairs)) != len(region_pairs):
+        # one start bit is drawn per listed pair, so a repeat would draw twice
+        raise InfeasibleTaskError("duplicate pairs in R")
     bits = rng.random(len(region_pairs)) < 0.5
     start = {e: bool(b) for e, b in zip(region_pairs, bits)}
     state = dict(start)

@@ -6,23 +6,45 @@ reads the pre-flip graph and is told the post-flip presence bit.  Updates
 with ``edge is None`` are null steps and cost O(1); ``run_sequence``
 delivers each ineffective add/remove event as ``update(None, False)``.
 
-st4 and s-4-cycle fold, in one pass, the fresh set of moved nodes that a
-``TwoPathTable`` update (also called before the flip) returns.  st3 and
-s-triangle keep no table: each flip moves their count by at most one
-intersection of pre-flip adjacency sets.
+The O(n) work of an s- or t-edge update runs word-parallel on the
+graph's bit rows (``DynamicGraph.rows``).  st3 and s-triangle keep no
+table: each flip moves their count by at most one intersection of
+pre-flip neighbourhoods, the popcount of two rows ANDed.  A
+``TwoPathTable`` moves the counts of a long row (more than ``_WALK_MAX``
+nodes) with one numpy operation on an int64 buffer and returns the
+moved nodes as a bit mask; st4 and s-4-cycle fold the table over such a
+row as one dot product.  Shorter rows are walked node by node, which
+costs less at that length.
 
 Counters expose ``ops``, the paper's modelled count of elementary
 operations (edge-membership tests and counter-table writes) used by the
-harness's cost accounting.  It may exceed the work actually done: an
-s-edge update charges the n-node scan while it walks only deg(v)
-neighbours, and st3 and s-triangle charge a 2-path table they do not keep.
+harness's cost accounting.  It is not the work actually done: an s-edge
+update charges the n-node scan and one write per moved node, where the
+code does a few vector operations over n/64 words, and st3 and
+s-triangle charge a 2-path table they do not keep.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Optional
+from array import array
+from typing import Optional, Tuple
+
+import numpy as np
 
 from .graph import DynamicGraph, Pair
+
+
+# Rows with more set bits than this move and fold a 2-path table with
+# numpy; shorter rows walk the adjacency set.  A numpy call costs a fixed
+# 1-2 us; a walk costs about 50 ns a node, and the two crossed between 40
+# and 64 nodes on a 2-CPU x86 host.
+_WALK_MAX = 48
+
+
+def _unpack(mask: int, n: int) -> np.ndarray:
+    """The bits 0..n-1 of ``mask`` as a length-n uint8 array of 0s and 1s."""
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
 
 
 class TwoPathTable:
@@ -30,65 +52,98 @@ class TwoPathTable:
 
     With ``t_excluded`` set, 2-paths using the edge (s, t_excluded) as
     their first edge are not counted (equivalently: the middle node is
-    never t_excluded).  c[s] is 0 at all times.
+    never t_excluded).  c[s] is 0 at all times.  Once n exceeds
+    ``_WALK_MAX + 1``, ``c`` is an int64 ``array`` whose elements read as
+    Python ints, and a numpy view of the same buffer moves or folds a row
+    of more than ``_WALK_MAX`` nodes in one vector operation.  Shorter
+    rows are walked node by node; below that n every row is, and ``c`` is
+    a list, whose elements read and write faster.
 
     ``update(e, now_present)`` runs before the flip of e, applies +/-1 to
-    every c[u] the flip moves and returns the set of those nodes; the
-    returned set never aliases the graph's adjacency sets.
+    every c[u] the flip moves and returns those nodes as a bit mask (bit
+    u set iff c[u] moved), an int the table does not keep.
 
     Update cost: O(1) for an edge not incident to s.  An (s,v) edge
     charges n ops, the modelled scan of every node for (v,u) membership,
-    and walks deg(v): only v's neighbours can change.  Every write to c
-    costs one more op.
+    and moves exactly v's other neighbours, the row ``rows[v]`` without
+    s.  Every write to c costs one more op.
     """
 
-    __slots__ = ("g", "s", "t_excluded", "c", "ops")
+    __slots__ = ("g", "s", "t_excluded", "c", "_vec", "ops")
 
     def __init__(self, g: DynamicGraph, s: int, t_excluded: Optional[int] = None):
         self.g = g
         self.s = s
         self.t_excluded = t_excluded
-        self.c = [0] * g.n
+        if g.n - 1 > _WALK_MAX:
+            self.c = array("q", bytes(8 * g.n))
+            self._vec = np.frombuffer(self.c, dtype=np.int64)  # writes through to c
+        else:  # no row is long enough for the vector path
+            self.c, self._vec = [0] * g.n, None
         self.ops = 0
-        # depth-2 BFS over the initial graph, O(m0)
         for v in g.neighbors(s):
-            if v == t_excluded:
-                continue
-            for u in g.neighbors(v):
-                if u != s:
-                    self.c[u] += 1
-                    self.ops += 1
+            if v != t_excluded:
+                self.ops += self._move(v, 1).bit_count()
 
     def query(self, u: int) -> int:
         return self.c[u]
 
-    def update(self, e: Optional[Pair], now_present: bool) -> AbstractSet[int]:
-        if e is None:
-            return frozenset()
-        a, b = e
-        s, t = self.s, self.t_excluded
+    def _move(self, v: int, delta: int) -> int:
+        """Add delta to c[u] for every neighbour u of v but s; return them as a mask."""
+        g, s = self.g, self.s
+        moved = g.rows[v] & ~(1 << s)
+        nbrs = g.neighbors(v)
+        if len(nbrs) > _WALK_MAX:
+            bits = _unpack(moved, g.n)
+            if delta > 0:
+                self._vec += bits
+            else:
+                self._vec -= bits
+        else:
+            c = self.c
+            for u in nbrs:
+                c[u] += delta
+            if s in nbrs:
+                c[s] -= delta  # c[s] stays 0
+        return moved
+
+    def row_total(self, x: int, skip: Tuple[int, ...]) -> int:
+        """Sum of c[u] over the neighbours u of x that are not in ``skip``."""
         g, c = self.g, self.c
+        nbrs = g.neighbors(x)
+        if len(nbrs) > _WALK_MAX:
+            row = g.rows[x]
+            for u in skip:
+                row &= ~(1 << u)
+            return int(np.dot(self._vec, _unpack(row, g.n)))
+        total = sum(map(c.__getitem__, nbrs))
+        for u in skip:
+            if u in nbrs:
+                total -= c[u]
+        return total
+
+    def update(self, e: Optional[Pair], now_present: bool) -> int:
+        if e is None:
+            return 0
+        a, b = e
+        s, t, g = self.s, self.t_excluded, self.g
         delta = 1 if now_present else -1
         if a == s or b == s:
             v = b if a == s else a
             if v == t:
-                return frozenset()  # the excluded edge never carries a counted 2-path
-            # charge the modelled scan of all n nodes, but walk only v's
-            # pre-flip neighbours; the difference is a fresh set
-            moved = g.neighbors(v) - {s}
-            for u in moved:
-                c[u] += delta
-            self.ops += g.n + len(moved)
-        else:
-            # a non-excluded middle joined to s moves the other endpoint
-            moved = set()
-            if a != t and g.has(s, a):
-                c[b] += delta
-                moved.add(b)
-            if b != t and g.has(s, b):
-                c[a] += delta
-                moved.add(a)
-            self.ops += 2 + len(moved)
+                return 0  # the excluded edge never carries a counted 2-path
+            moved = self._move(v, delta)
+            self.ops += g.n + moved.bit_count()
+            return moved
+        # a non-excluded middle joined to s moves the other endpoint
+        c, moved = self.c, 0
+        if a != t and g.has(s, a):
+            c[b] += delta
+            moved |= 1 << b
+        if b != t and g.has(s, b):
+            c[a] += delta
+            moved |= 1 << a
+        self.ops += 2 + moved.bit_count()
         return moved
 
 
@@ -106,9 +161,10 @@ class STPath3Counter:
         self.g = g
         self.s = s
         self.t = t
+        rows = g.rows
         mids = g.neighbors(s) - {t}
         self.ops = sum(g.degree(v) - 1 for v in mids)
-        self.c = sum(len(g.neighbors(t) & g.neighbors(v)) for v in mids) - len(mids) * g.has(s, t)
+        self.c = sum((rows[t] & rows[v]).bit_count() for v in mids) - len(mids) * g.has(s, t)
 
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         s, t, g = self.s, self.t, self.g
@@ -119,11 +175,11 @@ class STPath3Counter:
         ns, nt = g.neighbors(s), g.neighbors(t)
         if a == s or b == s:
             v = b if a == s else a
-            self.c += delta * (len(nt & g.neighbors(v)) - (t in ns and v in ns))
+            self.c += delta * ((g.rows[t] & g.rows[v]).bit_count() - (t in ns and v in ns))
             self.ops += g.n + 2 * (g.degree(v) - (v in ns))
         elif a == t or b == t:
             x = b if a == t else a
-            self.c += delta * (len(ns & g.neighbors(x)) - (t in ns and x in nt))
+            self.c += delta * ((g.rows[s] & g.rows[x]).bit_count() - (t in ns and x in nt))
             self.ops += 3 + (x in ns)
         else:
             sa, sb = a in ns, b in ns
@@ -179,14 +235,13 @@ class STPath4Counter:
             # walk with y=x exactly when (x,far) is present
             end, far, table = (s, t, self.tside) if in_s else (t, s, self.sside)
             x = b if a == end else a
-            mids = g.neighbors(x) - {s, t}
-            paths, total = table.c, 0
-            for m in mids:
-                total += paths[m]
-            if g.has(x, far):
-                total -= len(mids)
+            nbrs = g.neighbors(x)
+            total = table.row_total(x, (s, t))
+            k = len(nbrs) - (s in nbrs) - (t in nbrs)
+            if far in nbrs:
+                total -= k
             self.c += delta * total
-            self._ops += 1 + len(mids)
+            self._ops += 1 + k
         else:
             u, v = a, b
             su, sv = g.has(s, u), g.has(s, v)
@@ -220,9 +275,9 @@ class STriangleCounter:
     def __init__(self, g: DynamicGraph, s: int):
         self.g = g
         self.s = s
-        ns = g.neighbors(s)
+        ns, rows = g.neighbors(s), g.rows
         self.ops = sum(g.degree(v) - 1 for v in ns)
-        self.c = sum(len(ns & g.neighbors(v)) for v in ns) // 2
+        self.c = sum((rows[s] & rows[v]).bit_count() for v in ns) // 2
 
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         if e is None:
@@ -233,7 +288,7 @@ class STriangleCounter:
         ns = g.neighbors(s)
         if a == s or b == s:
             v = b if a == s else a
-            self.c += delta * len(ns & g.neighbors(v))
+            self.c += delta * (g.rows[s] & g.rows[v]).bit_count()
             self.ops += 1 + g.n + 2 * (g.degree(v) - (v in ns))
         else:
             sa, sb = a in ns, b in ns
@@ -268,11 +323,15 @@ class SFourCycleCounter:
         moved = self.two.update(e, now_present)
         # with k the new c[u]: binom(k,2) - binom(k-1,2) = k - 1 on a rise,
         # binom(k,2) - binom(k+1,2) = -k on a fall
-        paths, total = self.two.c, 0
-        for u in moved:
-            total += paths[u]
-        self.c += total - len(moved) if now_present else -total
-        self._ops += len(moved)
+        a, b = e
+        s, two = self.s, self.two
+        if a == s or b == s:  # moved is the row of the other end
+            total = two.row_total(b if a == s else a, (s,))
+        else:  # moved holds a, b, both or neither
+            total = (moved >> a & 1) * two.c[a] + (moved >> b & 1) * two.c[b]
+        k = moved.bit_count()
+        self.c += total - k if now_present else -total
+        self._ops += k
 
     def query(self) -> int:
         return self.c

@@ -1,15 +1,20 @@
 """Mutable simple graph on a fixed node set.
 
-Nodes are dense integer indices in ``[0, n)``.  The graph stores only
-per-node adjacency sets, so each edge lives in its two endpoints' sets:
-membership, degree lookup and a single flip are expected O(1), neighbor
-iteration is O(degree), and the edges are computed from the sets, by
-``edges()`` and ``edge_set()`` in O(n + m) and ``edge_count()`` in O(n).
+Nodes are dense integer indices in ``[0, n)``.  The graph stores each
+node's neighbours twice, as an adjacency set and as a bit row (a Python
+int with bit u set iff u is adjacent), and every flip updates both.  So
+each edge lives in its two endpoints' sets and rows: membership, degree
+lookup and a single flip are expected O(1) (the flip also rewrites two
+rows of n bits), neighbor iteration is O(degree), the intersection of
+two neighbourhoods is one AND and popcount over n/64 words, and the
+edges are computed from the sets, by ``edges()`` and ``edge_set()`` in
+O(n + m) and ``edge_count()`` in O(n).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import IO, AbstractSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,10 +83,20 @@ def uniform_pair(
     return index_pair(n, int(rng.integers(pair_count(n))))
 
 
-class DynamicGraph:
-    """Simple graph with O(1) expected membership/flip and degree table."""
+def _int_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-d 0/1 array as an int with bit u set iff column u is."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    __slots__ = ("n", "_adj")
+
+class DynamicGraph:
+    """Simple graph with O(1) expected membership/flip and degree table.
+
+    ``rows[v]`` is v's neighbourhood as a bit mask, bit u set iff u ~ v;
+    like :meth:`neighbors` it is live state that callers must not assign.
+    """
+
+    __slots__ = ("n", "_adj", "rows")
 
     def __init__(self, n: int, edges: Iterable[Pair] = ()):
         if n < 0:
@@ -100,6 +115,20 @@ class DynamicGraph:
                 raise GraphError(f"duplicate edge {(a, b)}")
             adj[a].add(b)
             adj[b].add(a)
+        self.rows = [0] * n
+        degrees = list(map(len, adj))
+        if any(degrees):
+            adjacent = np.zeros((n, n), dtype=bool)
+            nbrs = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=sum(degrees))
+            adjacent[np.repeat(np.arange(n), degrees), nbrs] = True
+            self.rows = _int_rows(adjacent)
+
+    @classmethod
+    def _holding(cls, n: int, adj: list[set[int]], rows: list[int]) -> "DynamicGraph":
+        """A graph over sets and rows the caller built to agree, unchecked."""
+        g = cls.__new__(cls)
+        g.n, g._adj, g.rows = n, adj, rows
+        return g
 
     # -- queries ---------------------------------------------------------
 
@@ -138,17 +167,21 @@ class DynamicGraph:
         return frozenset(self.edges())
 
     def copy(self) -> "DynamicGraph":
-        g = DynamicGraph(self.n)
-        g._adj = [set(a) for a in self._adj]
-        return g
+        return DynamicGraph._holding(self.n, [set(a) for a in self._adj], list(self.rows))
 
     # -- mutation --------------------------------------------------------
 
     def flip(self, u: int, v: int) -> bool:
         """Toggle the edge; return whether it is present afterwards."""
-        a, b = pair(u, v)
+        # pair() inlined, as in the constructor: every effective step flips
+        a, b = (u, v) if u < v else (v, u)
+        if a < 0 or a == b:
+            pair(u, v)  # raises the self-loop or negative-index error
         if b >= self.n:
             raise GraphError(f"edge {(a, b)} out of range for n={self.n}")
+        rows = self.rows
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
         adj_a = self._adj[a]
         if b in adj_a:
             adj_a.remove(b)
@@ -175,9 +208,21 @@ def random_graph(
         mask = rng.random(len(restriction)) < 0.5
         return DynamicGraph(n, [e for e, keep in zip(restriction, mask) if keep])
     mask = rng.random(pair_count(n)) < 0.5
-    # row-major np.triu_indices order is pair_index order
-    us, vs = np.triu_indices(n, 1)
-    return DynamicGraph(n, zip(us[mask].tolist(), vs[mask].tolist()))
+    # row-major np.triu_indices order is pair_index order; the pairs are
+    # valid and distinct by construction, so the sets and rows come from
+    # the adjacency matrix without the constructor's per-edge checks
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[np.triu_indices(n, 1)] = mask
+    adjacent |= adjacent.T
+    # row-major: each node's neighbours in increasing order, the order in
+    # which the constructor's pair_index-ordered loop adds them to its set;
+    # indexing an object array of the node ints makes every set hold the
+    # same n int objects instead of one new int per adjacency entry
+    nodes = np.array(range(n), dtype=object)
+    nbrs = nodes[np.nonzero(adjacent)[1]].tolist()
+    ends = np.cumsum(adjacent.sum(axis=1)).tolist()
+    adj = [set(nbrs[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return DynamicGraph._holding(n, adj, _int_rows(adjacent))
 
 
 # -- serialization (plain-text edge list) --------------------------------

@@ -160,6 +160,16 @@ def test_oblivious_ar_embed_rejects_a_bad_flip_set_before_any_draw(flips):
     assert rng.bit_generator.state == state
 
 
+def test_oblivious_ar_embed_rejects_a_repeated_region_pair_before_any_draw():
+    """A region that lists a pair twice, in either orientation, would draw
+    a start bit per copy; it is rejected and the generator does not move."""
+    rng = trial_stream(9, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(InfeasibleTaskError, match="duplicate pairs in R"):
+        run_oblivious_ar_embed(10, [(0, 1), (1, 0), (0, 2)], [(0, 1)], 1.0, 5, rng)
+    assert rng.bit_generator.state == state
+
+
 def _reference_adaptive_embed(g, task, rng):
     """``run_adaptive_embed`` with plain numpy scalar draws: propose the
     first pending flip, keep it w.p. p, else flip a uniform pair."""

@@ -123,39 +123,51 @@ def test_counters_track_oracles_under_random_flips(seed, n):
             assert two.query(u) == bf_two_paths(g, s, u, t)
 
 
+def nodes_of(mask):
+    """The set bits of a moved-node mask, as a set of nodes."""
+    return {u for u in range(mask.bit_length()) if mask >> u & 1}
+
+
 class ScanTwoPathTable(TwoPathTable):
     """Reference: the (s,v) update as a full scan, one membership test
-    and one op per node plus one per write, exactly the modelled cost."""
+    and one op per node plus one per write, exactly the modelled cost,
+    and ``row_total`` as a walk over the adjacency set."""
+
+    def row_total(self, x, skip):
+        return sum(self.c[u] for u in self.g.neighbors(x) if u not in skip)
 
     def update(self, e, now_present):
         if e is None:
-            return ()
+            return 0
         a, b = e
         s, t, g = self.s, self.t_excluded, self.g
         if a != s and b != s:
             return super().update(e, now_present)
         v = b if a == s else a
         if v == t:
-            return ()
+            return 0
         delta = 1 if now_present else -1
-        moved = []
+        moved = 0
         for u in range(g.n):
             self.ops += 1
             if u != s and u != v and g.has(v, u):
                 self.c[u] += delta
                 self.ops += 1
-                moved.append(u)
+                moved |= 1 << u
         return moved
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_two_path_table_matches_the_full_scan(data):
-    n = data.draw(st.integers(5, 40), label="n")
+    # n reaches rows far longer than the ones TwoPathTable walks node by node
+    n = data.draw(st.integers(5, 160), label="n")
     s, t = 0, 1
     excluded = data.draw(st.sampled_from([None, t]), label="t_excluded")
     g = random_graph(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     fast, scan = TwoPathTable(g, s, excluded), ScanTwoPathTable(g, s, excluded)
+    mids = g.neighbors(s) - {excluded}
+    assert list(fast.c) == [0 if u == s else len(g.neighbors(u) & mids) for u in range(n)]
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         kind = data.draw(st.sampled_from(["any", "s", "st", "s-near-t"]))
         near_t = sorted(g.neighbors(t) - {s})
@@ -172,10 +184,12 @@ def test_two_path_table_matches_the_full_scan(data):
         moved_fast = fast.update(e, present)
         moved_scan = scan.update(e, present)
         g.flip(*e)
-        assert all(moved_fast is not g.neighbors(u) for u in range(n)), e
-        assert sorted(moved_fast) == sorted(moved_scan), e
+        assert type(moved_fast) is int and moved_fast == moved_scan, e
         assert fast.c == scan.c, e
         assert fast.ops == scan.ops, e
+        for x in (s, t, e[1]):
+            for skip in ((s,), (s, t), ()):
+                assert fast.row_total(x, skip) == scan.row_total(x, skip), (e, x, skip)
 
 
 class TableSTPath3Counter:
@@ -204,7 +218,7 @@ class TableSTPath3Counter:
             self._ops += 1
             self.two.update(e, now_present)
         else:
-            moved = self.two.update(e, now_present)
+            moved = nodes_of(self.two.update(e, now_present))
             self.c += delta * len(self.g.neighbors(t) & moved)
             self._ops += len(moved)
 
@@ -234,7 +248,7 @@ class TableSTriangleCounter:
         if a == s or b == s:
             self.c2 += delta * self.two.c[b if a == s else a]
             self._ops += 1
-        moved = self.two.update(e, now_present)
+        moved = nodes_of(self.two.update(e, now_present))
         self.c2 += delta * len(self.g.neighbors(s) & moved)
         self._ops += len(moved)
 
@@ -243,16 +257,14 @@ class TableSTriangleCounter:
         return self.c2 // 2
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_intersection_counters_match_the_table_fold(data):
-    n = data.draw(st.integers(5, 40), label="n")
+def _drive_pairs(data, make_pairs):
+    """Draw a graph of up to 160 nodes, far above the rows TwoPathTable
+    walks node by node, and a stream of s-, t-, (s,t)-, interior and null
+    steps; each (fast, reference) pair agrees on (ops, query) throughout."""
+    n = data.draw(st.integers(5, 160), label="n")
     s, t = 0, 1
     g = random_graph(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-    pairs = [
-        (STPath3Counter(g, s, t), TableSTPath3Counter(g, s, t)),
-        (STriangleCounter(g, s), TableSTriangleCounter(g, s)),
-    ]
+    pairs = make_pairs(g, s, t)
     for fast, table in pairs:
         assert (fast.ops, fast.query()) == (table.ops, table.query())
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
@@ -281,6 +293,31 @@ def test_intersection_counters_match_the_table_fold(data):
             assert (fast.ops, fast.query()) == (table.ops, table.query()), (kind, e)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_intersection_counters_match_the_table_fold(data):
+    _drive_pairs(data, lambda g, s, t: [
+        (STPath3Counter(g, s, t), TableSTPath3Counter(g, s, t)),
+        (STriangleCounter(g, s), TableSTriangleCounter(g, s)),
+    ])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_table_counters_match_the_walked_tables(data):
+    """st4 and s-4-cycle on ScanTwoPathTables, which move and fold the
+    table one node at a time, agree with the vectorised tables."""
+
+    def make_pairs(g, s, t):
+        walked4 = STPath4Counter(g, s, t)
+        walked4.sside, walked4.tside = ScanTwoPathTable(g, s, t), ScanTwoPathTable(g, t, s)
+        walked_cycles = SFourCycleCounter(g, s)
+        walked_cycles.two = ScanTwoPathTable(g, s)
+        return [(STPath4Counter(g, s, t), walked4), (SFourCycleCounter(g, s), walked_cycles)]
+
+    _drive_pairs(data, make_pairs)
+
+
 def test_update_cost_profile():
     # an update at s costs Theta(n) membership checks; elsewhere O(1)
     n = 500
@@ -295,7 +332,8 @@ def test_update_cost_profile():
     assert cheap <= 4
     assert expensive >= n - 2
     # the modelled scan charges n ops up front, plus one per table write
-    assert expensive == n + len(moved)
+    assert moved == 1 << 2 | 1 << 4
+    assert expensive == n + moved.bit_count()
 
 
 def test_worst_case_s_flips_stay_linear():

@@ -19,7 +19,16 @@ from smoothdyn.graph import (
     uniform_pair,
     write_edge_list,
 )
+from smoothdyn.reduction import P3Layout
 from smoothdyn.rng import trial_stream
+
+
+def assert_rows_match_sets(g):
+    """Every bit row holds exactly its node's adjacency set."""
+    assert len(g.rows) == g.n
+    for v in range(g.n):
+        assert type(g.rows[v]) is int
+        assert g.rows[v] == sum(1 << u for u in g.neighbors(v)), v
 
 
 def test_pair_canonical():
@@ -57,6 +66,21 @@ def test_construction_errors():
         DynamicGraph(3, [(2, -1)])
     with pytest.raises(GraphError, match="negative"):
         DynamicGraph(3, [(-2, -1)])
+
+
+@pytest.mark.parametrize("u, v", [(0, -1), (-1, 2), (0, 3), (3, 0)])
+def test_flip_off_the_node_set_raises_and_changes_nothing(u, v):
+    """A negative index would be a negative shift of a bit row, which
+    raises a bare ValueError; the flip raises GraphError (a ValueError)
+    before touching either copy, and so does an index at or above n."""
+    g = DynamicGraph(3, [(0, 1), (1, 2)])
+    rows = list(g.rows)
+    with pytest.raises(GraphError):
+        g.flip(u, v)
+    assert g.rows == rows and g.edge_set() == {(0, 1), (1, 2)}
+    # membership off [0, n) reads False instead of shifting by a negative count
+    assert not g.has(u, v) and not g.has(v, u)
+    assert not g.has_pair((u, v)) and not g.has_pair((v, u))
 
 
 def test_flip_add_remove():
@@ -97,6 +121,12 @@ def test_flip_involution_and_degrees(n, data):
     for e in ops + ops[::-1]:
         g.flip(*e)
         check_membership()
+        assert_rows_match_sets(g)
+        twin = g.copy()
+        assert_rows_match_sets(twin)
+        twin.flip(*e)  # a copy's rows are its own
+        assert_rows_match_sets(g)
+        assert twin.rows[e[0]] != g.rows[e[0]]
     assert g.edge_set() == before
     # maintained degrees match a from-scratch recomputation
     for v in range(n):
@@ -147,6 +177,7 @@ def test_random_graph_matches_per_pair_decoding(n):
             adj[u].add(v)
             adj[v].add(u)
         assert [set(g.neighbors(v)) for v in range(n)] == adj
+        assert_rows_match_sets(g)
         assert stream.bit_generator.state == twin.bit_generator.state
 
 
@@ -191,6 +222,7 @@ def test_random_graph_restriction():
     for seed in range(50):
         g = random_graph(8, np.random.default_rng(seed), restriction=[(0, 1), (2, 3)])
         assert g.edge_set() <= {(0, 1), (2, 3)}
+        assert_rows_match_sets(g)
 
 
 def test_edge_list_roundtrip():
@@ -201,6 +233,16 @@ def test_edge_list_roundtrip():
     assert text.startswith("5 3\n") and text.endswith("\n")
     back = read_edge_list(io.StringIO(text))
     assert back.n == g.n and back.edge_set() == g.edge_set()
+    assert_rows_match_sets(back)
+
+
+def test_p3_layout_graph_rows_match_sets():
+    lay = P3Layout(4)
+    rng = np.random.default_rng(3)
+    M = rng.integers(0, 2, (4, 4))
+    g = lay.graph_of(M, rng.integers(0, 2, 4), rng.integers(0, 2, 4))
+    assert g.edge_count() > 0
+    assert_rows_match_sets(g)
 
 
 @pytest.mark.parametrize(
