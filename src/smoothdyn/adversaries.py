@@ -114,9 +114,10 @@ def run_adaptive_embed(
     """Drive the adaptive embedding until success or budget exhaustion.
 
     Raises :class:`InfeasibleTaskError` before any draw unless the task
-    meets the proviso r <= p n^2 / 18.  Draws from ``rng`` exactly what
-    plain numpy draws would, and hands it back in that state, so the
-    caller may go on drawing from it."""
+    meets the proviso r <= p n^2 / 18.  The smoothing draws come from
+    ``rng`` in blocks (stream v2, see :mod:`smoothdyn.rng`), and ``rng`` is
+    left after the last block drawn, so the caller may go on drawing
+    from it."""
     task.require_feasible()
     adversary = AdaptiveEmbedAdversary(task)
     source = SmoothedSource(
@@ -125,15 +126,12 @@ def run_adaptive_embed(
     observers = [adversary]
     hits = 0
     steps = 0
-    try:
-        while not adversary.done and steps < task.budget:
-            ev = source.next_change(g)
-            notify_and_flip(g, ev.edge, observers)
-            if ev.provenance is Provenance.RANDOM and ev.edge in task.region:
-                hits += 1
-            steps += 1
-    finally:
-        source.close()
+    while not adversary.done and steps < task.budget:
+        ev = source.next_change(g)
+        notify_and_flip(g, ev.edge, not g.has_pair(ev.edge), observers)
+        if ev.provenance is Provenance.RANDOM and ev.edge in task.region:
+            hits += 1
+        steps += 1
     return EmbedResult(adversary.done, steps, hits)
 
 
@@ -222,19 +220,16 @@ def run_oblivious_ar_embed(
     bits = rng.random(len(region_pairs)) < 0.5
     start = {e: bool(b) for e, b in zip(region_pairs, bits)}
     state = dict(start)
-    moves = ScriptedFlipAdversary([(e, Kind.REMOVE if start[e] else Kind.ADD) for e in flip_list])
+    moves = ScriptedFlipAdversary(flip_list, [Kind.REMOVE if start[e] else Kind.ADD for e in flip_list])
     source = SmoothedSource(Model.OBLIVIOUS_AR, SmoothingParams(p), moves, n, rng=rng)
     hits = 0
-    try:
-        for _ in range(budget):
-            e, kind, provenance = source.next_change()
-            if provenance is Provenance.ADVERSARIAL:
-                state[e] = kind is Kind.ADD
-            elif e in state:
-                state[e] = not state[e]
-                hits += 1
-    finally:
-        source.close()
+    for _ in range(budget):
+        e, kind, provenance = source.next_change()
+        if provenance is Provenance.ADVERSARIAL:
+            state[e] = kind is Kind.ADD
+        elif e in state:
+            state[e] = not state[e]
+            hits += 1
     flip_set = set(flip_list)
     success = all(
         (state[e] != start[e]) == (e in flip_set) for e in region_pairs

@@ -13,7 +13,7 @@ O(n + m) and ``edge_count()`` in O(n).
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 from itertools import chain
 from typing import IO, AbstractSet, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -45,47 +45,60 @@ def all_pairs(n: int) -> Iterator[Pair]:
             yield (u, v)
 
 
-def _row_start(n: int, u: int) -> int:
-    # number of canonical pairs (a, b) with a < u, in row-major order
-    return u * (2 * n - u - 1) // 2
-
-
-def pair_index(n: int, e: Pair) -> int:
-    """Row-major index of a canonical pair among the binom(n,2) pairs."""
-    u, v = e
-    return _row_start(n, u) + (v - u - 1)
-
-
-def index_pair(n: int, idx: int) -> Pair:
-    """Inverse of :func:`pair_index` in O(1), exactly in integers.
+def index_pairs(n: int, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs at indices ``idx`` of the binom(n,2) pairs in row-major
+    order, as (u, v) int64 arrays.
 
     Counted from the last pair, index r lies in the row of k pairs where
-    k is the largest integer with k (k - 1) / 2 <= r, that is
-    k = (isqrt(8 r + 1) + 1) // 2; that row is u = n - 1 - k.
+    k is the largest integer with k (k - 1) / 2 <= r, that is with
+    (2k - 1)^2 <= 8 r + 1; that row is u = n - 1 - k.  The float square
+    root of 8 r + 1 never falls below 2k - 1: rounding is monotone, and
+    the correctly rounded root of m^2 rounded to a double is m for any
+    m < 2**31.  From about n = 2**28 it can round up to 2k + 1, and one
+    integer step down settles k.  8 r + 1 fits int64 up to n = 2**30,
+    and a larger n raises.
     """
+    if n > 1 << 30:
+        raise GraphError(f"index_pairs supports n <= 2**30, not {n}")
     count = pair_count(n)
-    if idx < 0 or idx >= count:
-        raise GraphError(f"pair index {idx} out of range for n={n}")
-    r = count - 1 - idx
-    k = (math.isqrt(8 * r + 1) + 1) // 2
-    return (n - 1 - k, n - 1 - r + k * (k - 1) // 2)
+    r = count - 1 - np.asarray(idx, dtype=np.int64)
+    if r.size and (r.min() < 0 or r.max() >= count):
+        raise GraphError(f"pair index out of range for n={n}")
+    k = ((np.sqrt(8 * r + 1) + 1) // 2).astype(np.int64)
+    k -= k * (k - 1) // 2 > r
+    return n - 1 - k, n - 1 - r + k * (k - 1) // 2
 
 
-def uniform_pair(
-    n: int, rng, allowed: Optional[Sequence[Pair]] = None
-) -> Pair:
-    """A uniform pair from ``allowed``, else from binom([n],2), by one
-    ``rng.integers`` draw (no rejection) indexing ``allowed`` or pair_index
-    order.  ``rng`` is a numpy ``Generator`` or a :class:`~smoothdyn.rng.BlockDraws`
-    over one, which draw the same value."""
-    if allowed is not None:
-        return allowed[int(rng.integers(len(allowed)))]
-    return index_pair(n, int(rng.integers(pair_count(n))))
+# Up to this many pairs, uniform_pairs looks its draws up in a table of
+# index_pairs over every index, built once per n: at most 1 MiB of int32,
+# and a block of 16 pairs then costs two numpy calls instead of twenty.
+_TABLE_PAIRS = 1 << 17
 
 
-def _int_rows(bits: np.ndarray) -> list[int]:
-    """Each row of a 2-d 0/1 array as an int with bit u set iff column u is."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
+@lru_cache(maxsize=4)
+def _pair_table(n: int) -> np.ndarray:
+    return np.stack(index_pairs(n, np.arange(pair_count(n))), axis=1).astype(np.int32)
+
+
+def uniform_pairs(
+    n: int, rng: np.random.Generator, k: int, allowed: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """k uniform pairs as (u, v) arrays, by one ``rng.integers(m, size=k)``
+    draw (no rejection) indexing the m rows of ``allowed``, an (m, 2) int
+    array of pairs in a given order, else the binom(n,2) pairs in
+    row-major order (:func:`index_pairs`).  The library's one uniform-edge
+    sampler."""
+    if allowed is None:
+        if pair_count(n) > _TABLE_PAIRS:
+            return index_pairs(n, rng.integers(pair_count(n), size=k))
+        allowed = _pair_table(n)
+    picked = allowed[rng.integers(len(allowed), size=k)]
+    return picked[:, 0], picked[:, 1]
+
+
+def _int_rows(packed: np.ndarray) -> list[int]:
+    """Each row of a byte matrix whose byte j of row v holds bits 8j..8j+7
+    (little-endian) as an int with those bits set."""
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -118,10 +131,13 @@ class DynamicGraph:
         self.rows = [0] * n
         degrees = list(map(len, adj))
         if any(degrees):
-            adjacent = np.zeros((n, n), dtype=bool)
+            # set bit u of row v in an n x ceil(n/8) byte matrix, n^2/8 bytes
+            # at most, which is what the rows themselves may take
             nbrs = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=sum(degrees))
-            adjacent[np.repeat(np.arange(n), degrees), nbrs] = True
-            self.rows = _int_rows(adjacent)
+            packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+            owners = np.repeat(np.arange(n), degrees)
+            np.bitwise_or.at(packed, (owners, nbrs >> 3), np.left_shift(1, nbrs & 7).astype(np.uint8))
+            self.rows = _int_rows(packed)
 
     @classmethod
     def _holding(cls, n: int, adj: list[set[int]], rows: list[int]) -> "DynamicGraph":
@@ -201,28 +217,28 @@ def random_graph(
 
     Stream contract: one ``rng.random(k)`` draw, where k is the number of
     allowed pairs (binom(n,2) without a restriction); the i-th allowed
-    pair, in :func:`pair_index` order or the restriction's order, is
+    pair, in row-major order or the restriction's order, is
     present iff its draw is < 0.5.
     """
     if restriction is not None:
         mask = rng.random(len(restriction)) < 0.5
         return DynamicGraph(n, [e for e, keep in zip(restriction, mask) if keep])
     mask = rng.random(pair_count(n)) < 0.5
-    # row-major np.triu_indices order is pair_index order; the pairs are
+    # np.triu_indices lists the pairs in row-major order; they are
     # valid and distinct by construction, so the sets and rows come from
     # the adjacency matrix without the constructor's per-edge checks
     adjacent = np.zeros((n, n), dtype=bool)
     adjacent[np.triu_indices(n, 1)] = mask
     adjacent |= adjacent.T
     # row-major: each node's neighbours in increasing order, the order in
-    # which the constructor's pair_index-ordered loop adds them to its set;
+    # which the constructor's row-major loop adds them to its set;
     # indexing an object array of the node ints makes every set hold the
     # same n int objects instead of one new int per adjacency entry
     nodes = np.array(range(n), dtype=object)
     nbrs = nodes[np.nonzero(adjacent)[1]].tolist()
     ends = np.cumsum(adjacent.sum(axis=1)).tolist()
     adj = [set(nbrs[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    return DynamicGraph._holding(n, adj, _int_rows(adjacent))
+    return DynamicGraph._holding(n, adj, _int_rows(np.packbits(adjacent, axis=1, bitorder="little")))
 
 
 # -- serialization (plain-text edge list) --------------------------------

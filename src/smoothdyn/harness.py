@@ -185,10 +185,10 @@ def make_model_source(
     trial: int,
 ) -> SmoothedSource:
     model = Model(model_name)
-    draws = rngmod.BlockDraws(rngmod.adversary_stream(seed, trial))
-    adv = UniformFlipAdversary(n, draws, params.restriction)
-    if model is Model.OBLIVIOUS_AR:  # the pair first, then the Add/Remove coin
-        adv = FlipSimulatingARAdversary(adv, draws)
+    adv_rng = rngmod.adversary_stream(seed, trial)
+    adv = UniformFlipAdversary(n, adv_rng, params.restriction)
+    if model is Model.OBLIVIOUS_AR:  # per block the pairs, then the Add/Remove coins
+        adv = FlipSimulatingARAdversary(adv, adv_rng)
     return SmoothedSource(model, params, adv, n, rng=rngmod.smoothing_stream(seed, trial))
 
 

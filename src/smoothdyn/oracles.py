@@ -138,18 +138,3 @@ def bf_bipartite_matching(
     perfect = size == min(len(left), len(right)) and len(left) == len(right)
     return size, perfect
 
-
-def bf_min_vertex_cover_bipartite(
-    g: DynamicGraph, left: Sequence[int], right: Sequence[int]
-) -> int:
-    """Exhaustive minimum vertex cover size; intended for <=8 per side."""
-    nodes: List[int] = [v for v in (*left, *right) if g.degree(v) > 0]
-    if len(nodes) > 16:
-        raise OracleCapError("exhaustive vertex cover capped at 16 touched nodes")
-    edges = list(g.edges())
-    for size in range(len(nodes) + 1):
-        for cover in combinations(nodes, size):
-            cset = set(cover)
-            if all(u in cset or v in cset for u, v in edges):
-                return size
-    return len(nodes)

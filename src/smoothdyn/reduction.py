@@ -25,9 +25,9 @@ from typing import IO, Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .counters import STPath3Counter
-from .graph import DynamicGraph, Pair, pair, random_graph, uniform_pair
+from .graph import DynamicGraph, Pair, pair, random_graph, uniform_pairs
 from .oracles import bf_st_paths
-from .rng import BlockDraws, ExponentialDraws
+from .rng import ExponentialDraws
 from .smoothing import Model, SmoothedSource, SmoothingParams, UniformFlipAdversary, notify_and_flip
 
 
@@ -210,19 +210,9 @@ def random_oumv_instance(n: int, rng: np.random.Generator) -> OuMvInstance:
     return OuMvInstance(n, M, rounds)
 
 
-def write_oumv_instance(inst: OuMvInstance, fp: IO[str]) -> None:
-    fp.write(f"{inst.n}\n")
-    for row in inst.M:
-        fp.write("".join(str(int(b)) for b in row) + "\n")
-    for u, v in inst.rounds:
-        fp.write(
-            "".join(str(int(b)) for b in u) + " " + "".join(str(int(b)) for b in v) + "\n"
-        )
-
-
 def read_oumv_instance(fp: IO[str]) -> OuMvInstance:
-    """Parse the format of :func:`write_oumv_instance`: n, then n rows of M
-    and n+1 lines ``u v``, each a string of n binary digits.  Anything else
+    """Parse an OuMv instance file: n, then n rows of M and n+1 lines
+    ``u v``, each a string of n binary digits.  Anything else
     raises a ValueError that names its line."""
     lines = fp.read().splitlines()
     head = lines[0].split() if lines else []
@@ -356,7 +346,7 @@ class ParityOuMvSolver:
         for g, counter, seq in zip(self.graphs, self.counters, seqs):
             observers = (counter,)
             for e in seq:
-                notify_and_flip(g, e, observers)
+                notify_and_flip(g, e, not g.has_pair(e), observers)
         self.u_prev, self.v_prev = u, v
         return sum(c.query() for c in self.counters) % 2
 
@@ -533,8 +523,8 @@ class SixteenPack:
         st_edge = pair(layout.s, layout.t)
         st_present = rng.random() < 0.5
         self.alpha = float(alpha_of(p, n)[0])
-        # uniform_pair indexes this list: (s,t) first, then the types in order
-        self.exterior_all: List[Pair] = [st_edge, *self.part]
+        # uniform_pairs indexes these rows: (s,t) first, then the types in order
+        self.exterior_all = np.array([st_edge, *self.part], dtype=np.int64)
         self.graphs: List[DynamicGraph] = []
         for i in range(16):
             edges = set(self.interior.edges())
@@ -554,7 +544,8 @@ class SixteenPack:
                 raise ValueError(f"interior source produced exterior edge {e}")
             self.interior.flip(*e)
         else:
-            e = uniform_pair(self.layout.n_nodes, rng, self.exterior_all)
+            u, v = uniform_pairs(self.layout.n_nodes, rng, 1, self.exterior_all)
+            e = (int(u[0]), int(v[0]))
             if e in self.part:  # every exterior pair but (s,t)
                 self.part[e] ^= 1
         for g in self.graphs:
@@ -607,9 +598,7 @@ def run_p3_to_general(
     layout = P3Layout(n)
     restriction = tuple(layout.interior_edges())
     params = SmoothingParams(p, restriction=restriction)
-    adversary = UniformFlipAdversary(
-        layout.n_nodes, BlockDraws(rng.spawn(1)[0]), restriction=params.restriction
-    )
+    adversary = UniformFlipAdversary(layout.n_nodes, rng.spawn(1)[0], restriction=params.restriction)
     source = SmoothedSource(
         Model.OBLIVIOUS_FLIP, params, adversary, layout.n_nodes, rng=rng.spawn(1)[0]
     )

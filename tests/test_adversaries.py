@@ -1,3 +1,5 @@
+from itertools import count
+
 import pytest
 
 from smoothdyn.adversaries import (
@@ -170,17 +172,28 @@ def test_oblivious_ar_embed_rejects_a_repeated_region_pair_before_any_draw():
     assert rng.bit_generator.state == state
 
 
+def _smoothing_steps(rng, m):
+    """Stream v2's smoothing draws step by step, from plain numpy array
+    draws: per block of 16, 32, ... up to 2048 steps, k coins then k
+    replacement indices, a block drawn when its first step is asked for."""
+    for i in count():
+        k = min(16 << i, 2048)
+        yield from zip(rng.random(k), rng.integers(m, size=k).tolist())
+
+
 def _reference_adaptive_embed(g, task, rng):
-    """``run_adaptive_embed`` with plain numpy scalar draws: propose the
+    """``run_adaptive_embed`` with plain numpy array draws: propose the
     first pending flip, keep it w.p. p, else flip a uniform pair."""
     pairs = list(all_pairs(g.n))
     pending = dict.fromkeys(task.flips)
     steps = hits = 0
+    draws = _smoothing_steps(rng, len(pairs))
     while pending and steps < task.budget:
         e = next(iter(pending))
-        kept = rng.random() < task.p
+        coin, i = next(draws)
+        kept = coin < task.p
         if not kept:
-            e = pairs[int(rng.integers(len(pairs)))]
+            e = pairs[i]
         if e in task.region:
             hits += not kept
             if e in pending:
@@ -193,19 +206,21 @@ def _reference_adaptive_embed(g, task, rng):
 
 
 def _reference_oblivious_ar_embed(n, region, flips, p, budget, rng):
-    """``run_oblivious_ar_embed`` with plain numpy scalar draws: step i
+    """``run_oblivious_ar_embed`` with plain numpy array draws: step i
     proposes the move of flips[i mod r'] to its target, whatever the
     earlier coins were."""
     pairs = list(all_pairs(n))
     state = {e: bool(b) for e, b in zip(region, rng.random(len(region)) < 0.5)}
     start = dict(state)
     hits = 0
+    draws = _smoothing_steps(rng, len(pairs))
     for i in range(budget):
-        if rng.random() < p:
+        coin, j = next(draws)
+        if coin < p:
             e = flips[i % len(flips)]
             state[e] = not start[e]
         else:
-            f = pairs[int(rng.integers(len(pairs)))]
+            f = pairs[j]
             if f in state:
                 state[f] = not state[f]
                 hits += 1
@@ -215,9 +230,10 @@ def _reference_oblivious_ar_embed(n, region, flips, p, budget, rng):
 
 @pytest.mark.parametrize("trial", range(6))
 def test_embeddings_hand_back_the_generator_as_plain_draws_would(trial):
-    """Both embeddings draw what plain numpy draws would, and leave the
-    caller's generator in the state those draws leave, so a caller that
-    goes on drawing (``multiphase_embed``, C04) sees the same stream."""
+    """Both embeddings draw what plain numpy array draws of stream v2 would,
+    and leave the caller's generator after the last block drawn, so a
+    caller that goes on drawing (``multiphase_embed``, C04) sees the same
+    stream.  Budgets 20 + 15 trial and 30 end inside, and at, a block."""
     n = 40
     region = sorted(region_around(range(9)))
     flips = region[: 2 + trial]

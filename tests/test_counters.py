@@ -10,7 +10,7 @@ from smoothdyn.counters import (
     TrivialDecider,
     TwoPathTable,
 )
-from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph, uniform_pair
+from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph
 from smoothdyn.oracles import (
     bf_s_cycles,
     bf_st_paths,
@@ -110,8 +110,9 @@ def test_counters_track_oracles_under_random_flips(seed, n):
         "cyc": (SFourCycleCounter(g, s), lambda: bf_s_cycles(g, s, 4)),
     }
     two = TwoPathTable(g, s, t)
+    pairs = list(all_pairs(n))
     for step in range(120):
-        e = uniform_pair(n, rng)
+        e = pairs[int(rng.integers(len(pairs)))]
         present = not g.has_pair(e)
         for counter, _ in counters.values():
             counter.update(e, present)

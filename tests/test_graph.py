@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -10,17 +11,32 @@ from smoothdyn.graph import (
     DynamicGraph,
     GraphError,
     all_pairs,
-    index_pair,
+    index_pairs,
     pair,
     pair_count,
-    pair_index,
     random_graph,
     read_edge_list,
-    uniform_pair,
+    uniform_pairs,
     write_edge_list,
 )
 from smoothdyn.reduction import P3Layout
 from smoothdyn.rng import trial_stream
+
+
+def pair_index(n: int, e) -> int:
+    """Row-major index of a canonical pair among the binom(n,2) pairs: the
+    pairs (a, b) with a < u come first."""
+    u, v = e
+    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+
+
+def index_pair(n: int, idx: int):
+    """The pair at row-major index ``idx``, exactly in integers: counted
+    from the last pair, r lies in the row of k = (isqrt(8 r + 1) + 1) // 2
+    pairs, which is row n - 1 - k.  The reference ``index_pairs`` must match."""
+    r = pair_count(n) - 1 - idx
+    k = (math.isqrt(8 * r + 1) + 1) // 2
+    return (n - 1 - k, n - 1 - r + k * (k - 1) // 2)
 
 
 def assert_rows_match_sets(g):
@@ -135,11 +151,66 @@ def test_flip_involution_and_degrees(n, data):
 
 @pytest.mark.parametrize("n", range(2, 65))
 def test_index_pair_bijection(n):
-    decoded = [index_pair(n, i) for i in range(pair_count(n))]
-    assert decoded == list(all_pairs(n))
+    u, v = index_pairs(n, np.arange(pair_count(n)))
+    decoded = list(zip(u.tolist(), v.tolist()))
+    assert decoded == list(all_pairs(n)) == [index_pair(n, i) for i in range(pair_count(n))]
     assert [pair_index(n, e) for e in decoded] == list(range(pair_count(n)))
-    with pytest.raises(GraphError):
-        index_pair(n, pair_count(n))
+    for bad in (pair_count(n), -1):
+        with pytest.raises(GraphError):
+            index_pairs(n, np.array([0, bad]))
+    with pytest.raises(GraphError):  # 8 r + 1 would overflow int64
+        index_pairs(2**30 + 1, np.array([0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(2, 2**16), st.integers(2**28, 2**30)), st.data())
+def test_index_pairs_match_index_pair_near_row_boundaries(n, data):
+    """Counted from the end, row k starts after k(k-1)/2 indices; there the
+    float square root is closest to an integer and the fix-up must settle
+    it.  Checks k(k-1)/2 - 1, k(k-1)/2 and k(k-1)/2 + 1 from the end, for
+    drawn k and for the largest rows.  From about n = 2**28 the root
+    overshoots one below a row's start, which only the fix-up corrects;
+    above n = 2**30, 8 r + 1 would overflow int64."""
+    count = pair_count(n)
+    ks = data.draw(st.lists(st.integers(max(1, n - 5000), n - 1), max_size=20))
+    ks += data.draw(st.lists(st.integers(1, n - 1), max_size=20)) + [n - 1, n - 2, 1]
+    near = {count - 1 - (k * (k - 1) // 2 + d) for k in ks for d in (-1, 0, 1)}
+    idx = sorted(i for i in near if 0 <= i < count)
+    u, v = index_pairs(n, np.array(idx, dtype=np.int64))
+    assert list(zip(u.tolist(), v.tolist())) == [index_pair(n, i) for i in idx]
+
+
+@pytest.mark.parametrize("n", [2, 30, 512, 513, 600])
+def test_uniform_pairs_map_row_major_indices(n):
+    """Up to 2**17 pairs (n = 512) the draws are looked up in a table of
+    index_pairs, above it mapped block by block; both are index_pairs of
+    the same one ``integers(m, size=k)`` draw."""
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    for k in (1, 16, 2048):
+        u, v = uniform_pairs(n, rng, k)
+        eu, ev = index_pairs(n, twin.integers(pair_count(n), size=k))
+        assert u.tolist() == eu.tolist() and v.tolist() == ev.tolist()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_uniform_pairs_index_a_restriction_in_its_order():
+    allowed = np.array([(3, 4), (0, 2), (1, 4)])
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    u, v = uniform_pairs(5, rng, 50, allowed)
+    picks = twin.integers(3, size=50)
+    assert list(zip(u.tolist(), v.tolist())) == [tuple(allowed[i]) for i in picks]
+
+
+def test_validated_constructor_rows_match_sets_sparse():
+    """The constructor packs rows into n x ceil(n/8) bytes; at n = 5000 a
+    sparse graph's rows still equal its sets, high bits and node 0 included."""
+    n = 5000
+    rng = np.random.default_rng(4)
+    ends = rng.integers(n, size=(6000, 2))
+    edges = {pair(int(a), int(b)) for a, b in ends if a != b} | {(0, n - 1), (7, 8)}
+    g = DynamicGraph(n, edges)
+    assert g.edge_set() == edges
+    assert_rows_match_sets(g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -153,9 +224,9 @@ def test_index_pair_roundtrip_large_n(n, data):
     anywhere = data.draw(st.integers(0, pair_count(n) - 1))
     for i in (near_start, anywhere):
         if 0 <= i < pair_count(n):
-            a, b = index_pair(n, i)
+            (a,), (b,) = index_pairs(n, np.array([i]))
             assert 0 <= a < b < n
-            assert pair_index(n, (a, b)) == i
+            assert pair_index(n, (int(a), int(b))) == i
 
 
 def _decode_one_by_one(n, twin):
@@ -197,8 +268,9 @@ def test_uniform_pair_marginals():
     n = 5
     counts = {e: 0 for e in all_pairs(n)}
     draws = 20000
-    for _ in range(draws):
-        counts[uniform_pair(n, rng)] += 1
+    for k in (1, 3, 996, 19000):  # 20000 in all, in blocks of any size
+        for e in zip(*(a.tolist() for a in uniform_pairs(n, rng, k))):
+            counts[e] += 1
     expected = draws / pair_count(n)
     for e, c in counts.items():
         assert abs(c - expected) < 5 * np.sqrt(expected), e

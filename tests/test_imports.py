@@ -43,11 +43,6 @@ UNREFERENCED_KEPT = {
     "read_edge_list",
     "write_edge_list",
     "read_oumv_instance",
-    "write_oumv_instance",
-    # Koenig cross-check of bf_bipartite_matching
-    "bf_min_vertex_cover_bipartite",
-    # inverse of index_pair
-    "pair_index",
 }
 
 # Defaulted parameters that no counted call passes, each kept for a use.

@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from smoothdyn.oracles import (
     OracleCapError,
     bf_bipartite_matching,
     bf_connected,
-    bf_min_vertex_cover_bipartite,
     bf_s_cycles,
     bf_st_paths,
     bf_two_paths,
@@ -128,6 +128,18 @@ def test_random_bipartite_perfect_matching_rare_failure():
         misses += not bf_bipartite_matching(g, left, right)[1]
     bound = 4 * (n_side + 1) ** 2 / 2 ** ((n_side + 1) / 2)
     assert misses / 300 <= max(bound, 0.01)
+
+
+def bf_min_vertex_cover_bipartite(g, left, right) -> int:
+    """Exhaustive minimum vertex cover size; intended for <=8 per side."""
+    nodes = [v for v in (*left, *right) if g.degree(v) > 0]
+    edges = list(g.edges())
+    for size in range(len(nodes) + 1):
+        for cover in combinations(nodes, size):
+            cset = set(cover)
+            if all(u in cset or v in cset for u, v in edges):
+                return size
+    return len(nodes)
 
 
 def test_koenig_duality_desk_scale():

@@ -35,7 +35,6 @@ from smoothdyn.reduction import (
     sol_solve,
     st3_counter_factory,
     worstcase_to_average_split,
-    write_oumv_instance,
 )
 from smoothdyn.rng import trial_stream
 
@@ -147,6 +146,13 @@ def test_f2_oracle_frozen():
     assert int_oumv_oracle(M, [1, 1], [1, 0]) == 2
     with pytest.raises(ValueError):
         f2_oumv_oracle(M, [1, 0, 0], [1, 0])
+
+
+def write_oumv_instance(inst, fp) -> None:
+    """The file format ``read_oumv_instance`` parses."""
+    bits = lambda row: "".join(str(int(b)) for b in row)
+    fp.write(f"{inst.n}\n" + "".join(bits(row) + "\n" for row in inst.M))
+    fp.write("".join(f"{bits(u)} {bits(v)}\n" for u, v in inst.rounds))
 
 
 def test_oumv_instance_roundtrip():
@@ -367,8 +373,8 @@ class ScriptedRng:
     def random(self):
         return 0.0 if self.interior else 1.0  # alpha lies in (0, 1)
 
-    def integers(self, k):
-        return self.index % k
+    def integers(self, k, size):
+        return np.full(size, self.index % k)
 
 
 @given(

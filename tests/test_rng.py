@@ -1,27 +1,25 @@
-"""``BlockDraws`` and ``ExponentialDraws`` against the installed numpy's
-own ``Generator``.
+"""Stream v2's blocks and ``ExponentialDraws`` against the installed
+numpy's own ``Generator``.
 
-The decoder reimplements numpy's scalar ``random()`` and ``integers(N)``
-over raw PCG64 words; ``ExponentialDraws`` and the OuMv solver rely on
-numpy's array draws (``standard_exponential(k)``, ``integers(n, size=k)``)
-giving the same values and end state as ``k`` scalar calls.  If a numpy
-release changes how it draws, these tests fail: the code must then
-follow numpy, and no pin is moved.
+``ExponentialDraws`` and the OuMv solver rely on numpy's array draws
+(``standard_exponential(k)``, ``integers(n, size=k)``) giving the same
+values and end state as ``k`` scalar calls.  If a numpy release changes
+how it draws, these tests fail: the code must then follow numpy, and no
+pin is moved.
 """
 
 import gc
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothdyn.rng import BlockDraws, ExponentialDraws, stream
+from smoothdyn.graph import all_pairs
+from smoothdyn.rng import STREAM_VERSION, ExponentialDraws, block_sizes, stream
+from smoothdyn.smoothing import UniformFlipAdversary
 
-# Every branch of numpy's bounded-integer draw: no draw (1), 32-bit Lemire
-# with rare and frequent (2**31 + 1) rejection, the plain 32-bit word
-# (2**32), and 64-bit Lemire above it, whose rejection only 2**64 // 3 + 1
-# makes frequent (about a third of draws).
 BOUNDS = [1, 2, 7, 435, 19900, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1,
           2**64 // 3 + 1]
 
@@ -32,45 +30,25 @@ def _draw(source, bound):
     return source.random() if bound is None else int(source.integers(bound))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(0, 2**32),
-    st.lists(st.lists(DRAW, max_size=300), min_size=1, max_size=4),
-    st.lists(st.sampled_from(BOUNDS), max_size=3),
-)
-def test_block_draws_match_numpy(seed, rounds, between):
-    """Each round opens and closes a ``BlockDraws`` on the generator;
-    between rounds both sides draw directly, so the half-word buffer
-    crosses every hand-back in both directions."""
-    gen, twin = stream(seed), stream(seed)
-    for ops in rounds:
-        with BlockDraws(gen) as draws:
-            assert [_draw(draws, b) for b in ops] == [_draw(twin, b) for b in ops]
-        assert gen.bit_generator.state == twin.bit_generator.state
-        assert [_draw(gen, b) for b in between] == [_draw(twin, b) for b in between]
+def test_block_sizes_double_to_the_cap():
+    assert STREAM_VERSION == 2
+    assert list(islice(block_sizes(), 10)) == [16, 32, 64, 128, 256, 512, 1024, 2048, 2048, 2048]
 
 
 def test_long_runs_cross_every_block_size():
-    gen, twin = stream(3), stream(3)
-    draws = BlockDraws(gen)
-    bounds = [None, 435, 2**40, 7, 2**32] * 4000
-    assert [_draw(draws, b) for b in bounds] == [_draw(twin, b) for b in bounds]
-    draws.close()
-    assert gen.bit_generator.state == twin.bit_generator.state
-    assert gen.random() == twin.random()
-
-
-def test_rejects_what_it_cannot_decode():
-    with pytest.raises(TypeError):
-        BlockDraws(np.random.Generator(np.random.MT19937(0)))
-    draws = BlockDraws(stream(0))
-    for bound in (0, -1, 2**63 + 1):
-        with pytest.raises(ValueError):
-            draws.integers(bound)
-    draws.close()
-    draws.close()  # a second close is a no-op
-    with pytest.raises(RuntimeError):
-        draws.random()
+    """A uniform adversary asked once per step (the adaptive model) serves
+    exactly the ``integers(m, size=k)`` blocks an oblivious model asks for,
+    block after block."""
+    n, steps = 12, 8000
+    pairs = list(all_pairs(n))
+    adv = UniformFlipAdversary(n, stream(3))
+    got = [adv.propose(None) for _ in range(steps)]
+    twin = stream(3)
+    expected = [pairs[i] for k in islice(block_sizes(), 11) for i in twin.integers(len(pairs), size=k)]
+    assert got == expected[:steps]
+    blocks = UniformFlipAdversary(n, stream(3))
+    drawn = [blocks.propose_block(step, k) for step, k in ((0, 16), (16, 32), (48, 64))]
+    assert [e for u, v in drawn for e in zip(u.tolist(), v.tolist())] == got[:112]
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,24 +92,22 @@ def test_exponential_draws_close_is_final():
 
 
 def _live_scopes() -> int:
-    return sum(isinstance(o, (BlockDraws, ExponentialDraws)) for o in gc.get_objects())
+    return sum(isinstance(o, ExponentialDraws) for o in gc.get_objects())
 
 
 def test_unclosed_scopes_are_freed_at_del():
     """A scope dropped without ``close()`` is freed by reference counting:
     nothing it owns refers back to it, so it never waits for the cyclic
-    collector.  Callers such as ``simulate`` leave their scopes unclosed."""
+    collector."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         before = _live_scopes()
-        block, expo = BlockDraws(stream(3)), ExponentialDraws(stream(4))
+        expo = ExponentialDraws(stream(4))
         for _ in range(100):  # crosses refills
-            block.random()
-            block.integers(435)
             expo.standard_exponential()
-        del block, expo
+        del expo
         assert _live_scopes() == before
     finally:
         if enabled:

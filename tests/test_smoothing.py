@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph
+from smoothdyn.graph import DynamicGraph, GraphError, all_pairs, pair, random_graph
 from smoothdyn.harness import MODELS, make_model_source
 from smoothdyn.rng import adversary_stream, smoothing_stream, stream
 from smoothdyn.smoothing import (
@@ -231,23 +231,31 @@ def test_run_sequence_mixing_density():
     assert abs(float(np.mean(densities)) - 0.5) < 0.05
 
 
+BLOCKS = [16, 32, 64, 128, 256, 512, 1024] + [2048] * 4  # 10,000 steps and more
+
+
 def _reference_changes(model, params, n, seed, trial, steps):
-    """The change stream written with plain numpy scalar draws (the
-    uniform adversaries' proposal, then the smoothing coin and the
-    replacement pair), kept as the reference ``BlockDraws`` must match."""
+    """Stream v2 written with plain numpy array draws, block by block: the
+    uniform adversary's k proposal indices (then its k Add/Remove coins),
+    and the source's k smoothing coins, then its k replacement indices,
+    each index into the restriction, else into all pairs in row-major
+    order."""
     adv_rng, smooth_rng = adversary_stream(seed, trial), smoothing_stream(seed, trial)
     pairs = [pair(u, v) for u, v in params.restriction or all_pairs(n)]
     events = []
-    for _ in range(steps):
-        prop, kind = pairs[int(adv_rng.integers(len(pairs)))], Kind.FLIP
+    for k in BLOCKS:
+        props = [pairs[i] for i in adv_rng.integers(len(pairs), size=k)]
+        kinds = [Kind.FLIP] * k
         if model == "oblivious-ar":
-            kind = Kind.ADD if adv_rng.random() < 0.5 else Kind.REMOVE
-        if smooth_rng.random() < params.p:
-            events.append(ChangeEvent(prop, kind, Provenance.ADVERSARIAL))
-        else:
-            replacement = pairs[int(smooth_rng.integers(len(pairs)))]
-            events.append(ChangeEvent(replacement, Kind.FLIP, Provenance.RANDOM))
-    return events
+            kinds = [Kind.ADD if c < 0.5 else Kind.REMOVE for c in adv_rng.random(k)]
+        coins = smooth_rng.random(k)
+        replacements = [pairs[i] for i in smooth_rng.integers(len(pairs), size=k)]
+        for prop, kind, coin, replacement in zip(props, kinds, coins, replacements):
+            if coin < params.p:
+                events.append(ChangeEvent(prop, kind, Provenance.ADVERSARIAL))
+            else:
+                events.append(ChangeEvent(replacement, Kind.FLIP, Provenance.RANDOM))
+    return events[:steps]
 
 
 @pytest.mark.parametrize("restricted", [False, True])
@@ -260,6 +268,65 @@ def test_routed_draws_match_plain_numpy(model, restricted):
     g = DynamicGraph(n)  # read by the adaptive model only, and ignored there
     got = [source.next_change(g) for _ in range(10_000)]
     assert got == _reference_changes(model, params, n, 12, 3, 10_000)
+    assert all(type(u) is int and type(v) is int for (u, v), _, _ in got)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_split_runs_equal_one_run(model):
+    """T steps driven by one ``run_sequence`` call equal the same T steps
+    driven by many calls of uneven lengths, across the block boundaries
+    16, 48, 112, ... of stream v2: blocks are drawn by step, not by call."""
+    n, steps = 20, 5000
+
+    def drive(chunks):
+        g = random_graph(n, stream(3, 0))
+        source = make_model_source(model, SmoothingParams(0.4), n, 3, 1)
+        log = [ev for c in chunks for ev in run_sequence(g, source, c)]
+        return log, g.edge_set()
+
+    cuts = [1, 15, 1, 31, 2, 63, 7, 100, 333, 1, 1000, 2047]
+    uneven = cuts + [steps - sum(cuts)]
+    assert drive([steps]) == drive(uneven) == drive([1] * steps)
+
+
+@pytest.mark.parametrize("bad, step", [((0, 9), 40), ((3, 3), 17), ((-1, 2), 16)])
+def test_out_of_range_proposal_raises_at_its_step(bad, step):
+    """A block is checked as a whole, but a bad proposal raises at the step
+    that proposed it, after every earlier step was served."""
+    script = [(0, 1)] * step + [bad]
+    source = SmoothedSource(
+        Model.OBLIVIOUS_FLIP, SmoothingParams(0.5), ScriptedFlipAdversary(script), 6,
+        rng=smoothing_stream(1),
+    )
+    for _ in range(step):
+        source.next_change()
+    with pytest.raises((ContractViolation, GraphError)):
+        source.next_change()
+
+
+def test_proposal_outside_restriction_raises_at_its_step():
+    restriction = ((0, 1), (1, 2), (2, 3))
+    params = SmoothingParams(0.5, restriction=restriction)
+    adv = ScriptedFlipAdversary([(1, 0)] * 20 + [(0, 3)])  # uncanonical pairs are fine
+    source = SmoothedSource(Model.OBLIVIOUS_FLIP, params, adv, 4, rng=smoothing_stream(2))
+    assert all(source.next_change().edge in restriction for _ in range(20))
+    with pytest.raises(ContractViolation, match="outside the allowed set"):
+        source.next_change()
+    adaptive = SmoothedSource(
+        Model.ADAPTIVE, params, UniformFlipAdversary(4, adversary_stream(2)), 4,
+        rng=smoothing_stream(2),
+    )
+    with pytest.raises(ContractViolation, match="outside the allowed set"):
+        for _ in range(100):
+            adaptive.next_change(DynamicGraph(4))
+
+
+def test_add_remove_kind_is_checked_at_its_step():
+    adv = ScriptedFlipAdversary([(0, 1), (1, 2), (2, 3)], [Kind.ADD, Kind.REMOVE, Kind.FLIP])
+    source = SmoothedSource(Model.OBLIVIOUS_AR, SmoothingParams(0.5), adv, 4, rng=smoothing_stream(3))
+    source.next_change(), source.next_change()
+    with pytest.raises(ContractViolation, match="kind"):
+        source.next_change()
 
 
 class _PreFlipProbe:
@@ -291,8 +358,8 @@ def test_observers_see_the_pre_flip_graph(model):
 
 def test_event_log_determinism_and_format():
     def render(seed):
-        draws = adversary_stream(seed)
-        adv = FlipSimulatingARAdversary(UniformFlipAdversary(6, draws), draws)
+        adv_rng = adversary_stream(seed)
+        adv = FlipSimulatingARAdversary(UniformFlipAdversary(6, adv_rng), adv_rng)
         source = SmoothedSource(
             Model.OBLIVIOUS_AR, SmoothingParams(0.5), adv, 6, rng=smoothing_stream(seed)
         )
