@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from numbers import Integral, Real
 from typing import (
     IO,
@@ -46,11 +47,15 @@ from .oracles import (
     bf_two_paths,
 )
 from .reduction import (
+    ChangeDistribution,
+    ExactST3Counter,
     P3Layout,
-    exact_st3_counter_factory,
+    alpha_of,
     f2_oumv_oracle,
     int_oumv_oracle,
     omv_parity_reduction,
+    poisson_even_mass,
+    poisson_sample,
     random_oumv_instance,
     run_p3_to_general,
     sol_solve,
@@ -330,7 +335,7 @@ def _reduce_sol(config: ExperimentConfig) -> Iterator[Tuple[int, int, int, int]]
     for trial in range(config.trials):
         rng = rngmod.trial_stream(config.seed, trial)
         inst = random_oumv_instance(config.n, rng)
-        outcome = sol_solve(inst, config.p, exact_st3_counter_factory, rng)
+        outcome = sol_solve(inst, config.p, ExactST3Counter, rng)
         yield trial, len(outcome.answers), outcome.errors, len(outcome.answers)
 
 
@@ -429,20 +434,13 @@ def cmd_verify(seed: int = 0) -> List[Tuple[str, bool, str]]:
                 raise AssertionError("sixteen-pack recombination mismatch")
 
     def distribution_checks() -> None:
-        from fractions import Fraction
-
-        from .reduction import ChangeDistribution, alpha_of, poisson_even_mass
-
         for n in (2, 5, 8):
             for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
                 if ChangeDistribution(p, n).total_mass() != 1:
                     raise AssertionError("change distribution does not normalize")
                 alpha_of(float(p), n)
         rng = rngmod.stream(seed, 2)
-        from .reduction import poisson_sample
-
-        with rngmod.ExponentialDraws(rng) as exp_draws:
-            evens = sum(poisson_sample(1.0, exp_draws) % 2 == 0 for _ in range(20000))
+        evens = sum(poisson_sample(1.0, rng) % 2 == 0 for _ in range(20000))
         if abs(evens / 20000 - poisson_even_mass(1.0)) > 0.02:
             raise AssertionError("Poisson parity mass off")
 

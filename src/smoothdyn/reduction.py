@@ -2,7 +2,7 @@
 
 Contents:
 
-* exact Poisson sampling (sequential exponential spacings) and
+* exact Poisson sampling (numpy's ``Generator.poisson``) and
   parity-conditioned Poisson sampling;
 * the adversarial change distribution over a P3-partite layout and a
   histogram authenticity check of the solver's own change sequences;
@@ -27,7 +27,6 @@ import numpy as np
 from .counters import STPath3Counter
 from .graph import DynamicGraph, Pair, pair, random_graph, uniform_pairs
 from .oracles import bf_st_paths
-from .rng import ExponentialDraws
 from .smoothing import Model, SmoothedSource, SmoothingParams, UniformFlipAdversary, notify_and_flip
 
 
@@ -35,17 +34,10 @@ from .smoothing import Model, SmoothedSource, SmoothingParams, UniformFlipAdvers
 
 
 def poisson_sample(lam: float, rng: np.random.Generator) -> int:
-    """Exact Poisson(lam) draw via exponential spacings, O(output+1)."""
+    """Exact Poisson(lam) draw: one ``rng.poisson(lam)``."""
     if lam < 0:
         raise ValueError(f"lambda={lam} must be nonnegative")
-    if lam == 0:
-        return 0
-    k = 0
-    total = rng.standard_exponential()
-    while total <= lam:
-        k += 1
-        total += rng.standard_exponential()
-    return k
+    return int(rng.poisson(lam))
 
 
 class ParitySamplingError(RuntimeError):
@@ -55,24 +47,33 @@ class ParitySamplingError(RuntimeError):
 _PARITY_RETRY_CAP = 64
 
 
-def poisson_parity_conditional(lam: float, parity: int, rng: np.random.Generator) -> int:
-    """Poisson(lam) conditioned on the output's parity, by rejection.
+def poisson_parity_conditional(
+    lam: float, parities: Sequence[int], rng: np.random.Generator
+) -> np.ndarray:
+    """One Poisson(lam) draw per entry of ``parities``, each conditioned on
+    its entry's parity, by rejection.
 
-    The target parity has mass (1 +- e^{-2 lam})/2 >= 1/3 for lam >= ln(3)/2,
-    so 64 retries fail with probability at most (2/3)^64, about 2^-37.4.
-    At the solver's lambda (about 7.7 at n = 16, p = 1/2) both masses
-    are within e^-15 of 1/2, so there it is about 2^-64.  An exhausted
-    cap signals a pathologically small lambda paired with parity 1.
+    Draws ``rng.poisson(lam, size=len(parities))``, then redraws the
+    entries of the wrong parity, in index order, as one array a round,
+    until every entry has its parity.  The target parity has mass
+    (1 +- e^{-2 lam})/2 >= 1/3 for lam >= ln(3)/2, so an entry's 64 tries
+    fail with probability at most (2/3)^64, about 2^-37.4.  At the
+    solver's lambda (about 7.7 at n = 16, p = 1/2) both masses are within
+    e^-15 of 1/2, so there it is about 2^-64.  An exhausted cap signals a
+    pathologically small lambda paired with parity 1.
     """
     if lam <= 0:
         raise ValueError(f"lambda={lam} must be positive")
-    parity &= 1
+    parities = np.asarray(parities, dtype=np.int64) & 1
+    z = np.empty(len(parities), dtype=np.int64)
+    wrong = np.arange(len(parities))
     for _ in range(_PARITY_RETRY_CAP):
-        z = poisson_sample(lam, rng)
-        if z % 2 == parity:
+        z[wrong] = rng.poisson(lam, size=len(wrong))
+        wrong = wrong[z[wrong] % 2 != parities[wrong]]
+        if not len(wrong):
             return z
     raise ParitySamplingError(
-        f"no Poisson({lam}) draw of parity {parity} in {_PARITY_RETRY_CAP} tries"
+        f"no Poisson({lam}) draw of parity {parities[wrong[0]]} in {_PARITY_RETRY_CAP} tries"
     )
 
 
@@ -266,9 +267,8 @@ class ExactST3Counter:
         return bf_st_paths(self.g, self.s, self.t, 3)
 
 
-# counter factories (g, s, t) -> counter, as ParityOuMvSolver takes them
+# perfbench/test_perfbench.py imports the real counter by this name
 st3_counter_factory = STPath3Counter
-exact_st3_counter_factory = ExactST3Counter
 
 
 def round_sequences(
@@ -279,22 +279,19 @@ def round_sequences(
     ``dif`` holds the round's 2n difference bits, u_dif then v_dif.  Every
     copy gets Poisson(lam_side) changes of each side edge, of the parity
     of its bit; copy j's Poisson(lam_ab) batch of uniform AB changes goes
-    to the other two copies.  Same stream as scalar draws in this order:
-    side parities, per copy its AB count and its 2z endpoints (i0, j0, i1,
-    j1, ...), then the three shuffles.  Exponentials come in array scopes,
-    closed before each integers().
+    to the other two copies.  Draws, in this order: the side counts
+    (:func:`poisson_parity_conditional`, redraws included), then per copy
+    its AB count ``poisson(lam_ab)`` and its 2z endpoints
+    ``integers(n, size=2z)`` (i0, j0, i1, j1, ...), then the three
+    shuffles.
     """
+    counts = poisson_parity_conditional(lam_side, dif, rng).tolist()
     shared: List[Pair] = []
-    with ExponentialDraws(rng) as draws:
-        for e, bit in zip(layout.side_edges(), dif):
-            shared.extend([e] * poisson_parity_conditional(lam_side, bit, draws))
-        z = poisson_sample(lam_ab, draws) if lam_ab > 0 else 0
+    for e, count in zip(layout.side_edges(), counts):
+        shared.extend([e] * count)
     seqs: List[List[Pair]] = [list(shared) for _ in range(3)]
-    for j in range(3 if lam_ab > 0 else 0):
-        if j:
-            with ExponentialDraws(rng) as draws:
-                z = poisson_sample(lam_ab, draws)
-        ends = rng.integers(layout.n, size=2 * z).tolist()
+    for j in range(3):
+        ends = rng.integers(layout.n, size=2 * poisson_sample(lam_ab, rng)).tolist()
         batch = list(map(layout.ab_edge, ends[::2], ends[1::2]))
         for seq in seqs[:j] + seqs[j + 1 :]:
             seq.extend(batch)
@@ -341,7 +338,7 @@ class ParityOuMvSolver:
     def round(self, u: np.ndarray, v: np.ndarray) -> int:
         u = np.asarray(u, dtype=np.uint8) % 2
         v = np.asarray(v, dtype=np.uint8) % 2
-        dif = np.concatenate([u ^ self.u_prev, v ^ self.v_prev]).tolist()
+        dif = np.concatenate([u ^ self.u_prev, v ^ self.v_prev])
         seqs = round_sequences(self.layout, self.lam_side, self.lam_ab, dif, self.rng)
         for g, counter, seq in zip(self.graphs, self.counters, seqs):
             observers = (counter,)
@@ -432,15 +429,10 @@ def dadvp_verify_histogram(
     dist = ChangeDistribution(p, n)
     lam_side, lam_ab = dist.poisson_rates(t_param)
     probs = [n * dist.q_side, n * dist.q_side, n * n * dist.q_mid]  # sA, Bt, AB
-    genuine = np.empty((samples, 3), dtype=np.int64)
-    for i in range(samples):
-        with ExponentialDraws(rng) as draws:
-            length = poisson_sample(t_param, draws)
-        genuine[i] = rng.multinomial(length, probs)
+    genuine = rng.multinomial(rng.poisson(t_param, size=samples), probs)
     solver = np.empty((samples, 3), dtype=np.int64)
     for i in range(samples):
-        with ExponentialDraws(rng) as draws:
-            dif = [poisson_sample(lam_side, draws) % 2 for _ in range(2 * n)]
+        dif = rng.poisson(lam_side, size=2 * n) % 2
         seq = round_sequences(layout, lam_side, lam_ab, dif, rng)[0]
         n_sa = sum(e[0] == layout.s for e in seq)
         n_bt = sum(e[1] == layout.t for e in seq)

@@ -17,6 +17,7 @@ from smoothdyn.adversaries import (
     run_adaptive_embed,
     run_oblivious_ar_embed,
 )
+from smoothdyn.counters import STPath3Counter
 from smoothdyn.graph import DynamicGraph, all_pairs, pair_count, random_graph
 from smoothdyn.harness import (
     ExperimentConfig,
@@ -27,9 +28,9 @@ from smoothdyn.harness import (
 from smoothdyn.oracles import bf_st_paths
 from smoothdyn.reduction import (
     ChangeDistribution,
+    ExactST3Counter,
     _two_sample_chi2_pvalue,
     dadvp_verify_histogram,
-    exact_st3_counter_factory,
     f2_oumv_oracle,
     int_oumv_oracle,
     omv_parity_reduction,
@@ -38,7 +39,6 @@ from smoothdyn.reduction import (
     random_oumv_instance,
     run_p3_to_general,
     sol_solve,
-    st3_counter_factory,
     worstcase_to_average_split,
 )
 from smoothdyn.rng import stream, trial_stream
@@ -176,12 +176,12 @@ def test_c06_sol_correctness():
         rng = trial_stream(106, p_idx)
         for _ in range(instances):
             inst = random_oumv_instance(n, rng)
-            exact_errors += sol_solve(inst, p, exact_st3_counter_factory, rng).errors
+            exact_errors += sol_solve(inst, p, ExactST3Counter, rng).errors
     rng = trial_stream(106, 10)
     bad_instances = 0
     for _ in range(instances):
         inst = random_oumv_instance(n, rng)
-        out = sol_solve(inst, 0.5, st3_counter_factory, rng)
+        out = sol_solve(inst, 0.5, STPath3Counter, rng)
         if out.errors / len(out.answers) > 0.05:
             bad_instances += 1
     elapsed = time.perf_counter() - start

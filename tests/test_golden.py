@@ -8,7 +8,7 @@ check's edge-type counts, embedding results and final graphs, the
 sixteen-graph queries and a sixteen-graph pack's full state).  A seed must keep
 its meaning: if one of these moves, the RNG stream changed, and that is
 a deliberate, versioned decision, never a side effect of a refactor.
-The pins are of stream version 2 (``smoothdyn.rng.STREAM_VERSION``).
+The pins are of stream version 3 (``smoothdyn.rng.STREAM_VERSION``).
 """
 
 import hashlib
@@ -50,7 +50,6 @@ from smoothdyn.reduction import (
     random_oumv_instance,
     run_p3_to_general,
     sol_solve,
-    st3_counter_factory,
 )
 from smoothdyn.rng import trial_stream
 from smoothdyn.smoothing import (
@@ -141,13 +140,13 @@ def solver_output() -> str:
     rng = trial_stream(SEED, 0)
     inst = random_oumv_instance(6, rng)
     u0, v0 = inst.rounds[0]
-    solver = ParityOuMvSolver(inst.M, u0, v0, 0.5, st3_counter_factory, rng)
+    solver = ParityOuMvSolver(inst.M, u0, v0, 0.5, STPath3Counter, rng)
     out = [(solver.initial_answer(),) + tuple(c.query() for c in solver.counters)]
     for u, v in inst.rounds[1:]:
         answer = solver.round(u, v)
         out.append((answer,) + tuple(c.query() for c in solver.counters))
     rng = trial_stream(SEED, 1)
-    outcome = sol_solve(random_oumv_instance(5, rng), 0.3, st3_counter_factory, rng)
+    outcome = sol_solve(random_oumv_instance(5, rng), 0.3, STPath3Counter, rng)
     return repr((out, outcome.answers, outcome.oracle_answers))
 
 
@@ -233,8 +232,8 @@ DIGESTS = {
     "reduce-sol": "c9b4d7030056c34a",
     "reduce-p3general": "8a8eed373b5bc96d",
     "reduce-omv-chain": "729caec3b199d93f",
-    "sol-solver-st3": "0989b82c85dd02c9",
-    "dadvp-histogram": "da4397c40d7f5326",
+    "sol-solver-st3": "8b621a75848efc53",
+    "dadvp-histogram": "3e835c75f464564f",
     "adaptive-embed": "ff04ddcf124d9aca",
     "oblivious-ar-embed": "9e77cea5c4adbbac",
     "p3-to-general": "f410d5f3e90b788a",

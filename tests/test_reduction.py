@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothdyn.counters import STPath3Counter
 from smoothdyn.graph import DynamicGraph, pair, random_graph
 from smoothdyn.oracles import bf_st_paths
 from smoothdyn.reduction import (
     EXTERIOR_TYPES,
     ChangeDistribution,
+    ExactST3Counter,
     InvariantError,
     P3Layout,
     ParityOuMvSolver,
@@ -20,7 +22,6 @@ from smoothdyn.reduction import (
     SixteenPack,
     alpha_of,
     dadvp_verify_histogram,
-    exact_st3_counter_factory,
     f2_oumv_oracle,
     int_oumv_oracle,
     omv_parity_reduction,
@@ -33,7 +34,6 @@ from smoothdyn.reduction import (
     rounds_parameter,
     run_p3_to_general,
     sol_solve,
-    st3_counter_factory,
     worstcase_to_average_split,
 )
 from smoothdyn.rng import trial_stream
@@ -58,25 +58,27 @@ def test_poisson_sample_moments():
 def test_poisson_parity_conditional():
     rng = trial_stream(1, 0)
     lam = 2.0
-    evens = [poisson_parity_conditional(lam, 0, rng) for _ in range(4000)]
-    odds = [poisson_parity_conditional(lam, 1, rng) for _ in range(4000)]
-    assert all(z % 2 == 0 for z in evens)
-    assert all(z % 2 == 1 for z in odds)
+    draws = poisson_parity_conditional(lam, [0, 1] * 4000, rng)
+    evens, odds = draws[0::2], draws[1::2]
+    assert draws.shape == (8000,)
+    assert (evens % 2 == 0).all() and (odds % 2 == 1).all()
     # conditional means: lam * (1 -+ e^{-2 lam}) / (1 +- e^{-2 lam})
     e2 = math.exp(-2 * lam)
-    assert abs(np.mean(evens) - lam * (1 - e2) / (1 + e2)) < 0.1
-    assert abs(np.mean(odds) - lam * (1 + e2) / (1 - e2)) < 0.1
+    assert abs(evens.mean() - lam * (1 - e2) / (1 + e2)) < 0.1
+    assert abs(odds.mean() - lam * (1 + e2) / (1 - e2)) < 0.1
+    assert poisson_parity_conditional(lam, [], rng).shape == (0,)
 
 
 def test_poisson_parity_tiny_lambda():
     rng = trial_stream(2, 0)
     # parity 1 at small lambda: nearly every accepted draw is exactly 1
-    draws = [poisson_parity_conditional(0.3, 1, rng) for _ in range(200)]
-    assert sum(z == 1 for z in draws) >= 190
-    with pytest.raises(ParitySamplingError):
-        poisson_parity_conditional(1e-18, 1, rng)
+    draws = poisson_parity_conditional(0.3, [1] * 200, rng)
+    assert (draws % 2 == 1).all() and (draws == 1).sum() >= 190
+    # the parity-0 entry accepts at once; the parity-1 entry runs out of tries
+    with pytest.raises(ParitySamplingError, match="parity 1 in 64 tries"):
+        poisson_parity_conditional(1e-18, [0, 1], rng)
     with pytest.raises(ValueError):
-        poisson_parity_conditional(0.0, 0, rng)
+        poisson_parity_conditional(0.0, [0], rng)
 
 
 def test_poisson_even_mass():
@@ -212,7 +214,7 @@ def test_sol_exact_counters_agree(p):
     rng = trial_stream(6, 0)
     for _ in range(8):
         inst = random_oumv_instance(5, rng)
-        out = sol_solve(inst, p, exact_st3_counter_factory, rng)
+        out = sol_solve(inst, p, ExactST3Counter, rng)
         assert out.errors == 0
 
 
@@ -220,7 +222,7 @@ def test_sol_incremental_counters_agree():
     rng = trial_stream(7, 0)
     for _ in range(6):
         inst = random_oumv_instance(5, rng)
-        out = sol_solve(inst, 0.5, st3_counter_factory, rng)
+        out = sol_solve(inst, 0.5, STPath3Counter, rng)
         assert out.errors == 0
 
 
@@ -229,7 +231,7 @@ def test_sol_matrices_xor_to_m():
     rng = trial_stream(8, 0)
     inst = random_oumv_instance(4, rng)
     u0, v0 = inst.rounds[0]
-    solver = ParityOuMvSolver(inst.M, u0, v0, 0.5, exact_st3_counter_factory, rng)
+    solver = ParityOuMvSolver(inst.M, u0, v0, 0.5, ExactST3Counter, rng)
     lay = solver.layout
     for u, v in inst.rounds[1:]:
         solver.round(u, v)
@@ -245,7 +247,7 @@ def test_sol_constant_rounds_stay_correct():
     inst = random_oumv_instance(4, rng)
     u0, v0 = inst.rounds[0]
     inst.rounds = [(u0.copy(), v0.copy()) for _ in range(5)]
-    out = sol_solve(inst, 0.5, exact_st3_counter_factory, rng)
+    out = sol_solve(inst, 0.5, ExactST3Counter, rng)
     assert out.errors == 0
     assert len(set(out.oracle_answers)) == 1
 
@@ -280,6 +282,39 @@ def test_round_applies_what_round_sequences_returns():
         assert received == expected and all(expected)
         assert rng.bit_generator.state == twin.bit_generator.state
         u_prev, v_prev = u, v
+
+
+def test_round_sequences_stream_contract():
+    """A twin generator replays one round in stream version 3's order:
+    the side counts ``poisson(lam_side, size=2n)`` with the wrong-parity
+    entries redrawn in index order, then per copy ``poisson(lam_ab)`` and
+    ``integers(n, size=2z)``, then the three shuffles."""
+    n, p = 4, 0.5
+    layout = P3Layout(n)
+    lam_side, lam_ab = ChangeDistribution(p, n).poisson_rates(rounds_parameter(n, p))
+    dif = [1, 0, 1, 1, 0, 0, 1, 0]
+    rng, twin = trial_stream(12, 0), trial_stream(12, 0)
+    got = round_sequences(layout, lam_side, lam_ab, dif, rng)
+
+    counts = twin.poisson(lam_side, size=2 * n).tolist()
+    wrong = [i for i in range(2 * n) if counts[i] % 2 != dif[i]]
+    assert wrong  # the round exercises the redraws
+    while wrong:
+        for i, z in zip(wrong, twin.poisson(lam_side, size=len(wrong)).tolist()):
+            counts[i] = z
+        wrong = [i for i in wrong if counts[i] % 2 != dif[i]]
+    shared = [e for e, count in zip(layout.side_edges(), counts) for _ in range(count)]
+    expected = [list(shared) for _ in range(3)]
+    for j in range(3):
+        ends = twin.integers(n, size=2 * int(twin.poisson(lam_ab))).tolist()
+        batch = [layout.ab_edge(i, k) for i, k in zip(ends[::2], ends[1::2])]
+        for other in range(3):
+            if other != j:
+                expected[other] += batch
+    for seq in expected:
+        twin.shuffle(seq)
+    assert got == expected
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_dadvp_histogram_fit():
