@@ -220,7 +220,7 @@ def run_oblivious_ar_embed(
     bits = rng.random(len(region_pairs)) < 0.5
     start = {e: bool(b) for e, b in zip(region_pairs, bits)}
     state = dict(start)
-    moves = ScriptedFlipAdversary(flip_list, [Kind.REMOVE if start[e] else Kind.ADD for e in flip_list])
+    moves = ScriptedFlipAdversary(flip_list, [not start[e] for e in flip_list])  # Add iff absent
     source = SmoothedSource(Model.OBLIVIOUS_AR, SmoothingParams(p), moves, n, rng=rng)
     hits = 0
     for _ in range(budget):

@@ -238,17 +238,15 @@ def read_oumv_instance(fp: IO[str]) -> OuMvInstance:
 
 def f2_oumv_oracle(M, u, v) -> int:
     """u^T M v over F2 by direct evaluation."""
-    M = np.asarray(M, dtype=np.int64)
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if M.shape != (u.shape[0], v.shape[0]):
-        raise ValueError("dimension mismatch")
-    return int(u @ (M @ v)) % 2
+    return int_oumv_oracle(M, u, v) % 2
 
 
 def int_oumv_oracle(M, u, v) -> int:
-    M = np.asarray(M, dtype=np.int64)
-    return int(np.asarray(u, np.int64) @ (M @ np.asarray(v, np.int64)))
+    """u^T M v over the integers by direct evaluation."""
+    M, u, v = (np.asarray(x, dtype=np.int64) for x in (M, u, v))
+    if M.shape != (u.shape[0], v.shape[0]):
+        raise ValueError("dimension mismatch")
+    return int(u @ (M @ v))
 
 
 # -- the three-copy solver (parity OuMv via st3 counting) ----------------

@@ -9,8 +9,8 @@ Adversary handles:
 
 * oblivious flip:        ``propose_block(step, k) -> (u, v)``, int arrays
   holding the proposals of steps ``step`` to ``step + k - 1``
-* oblivious add/remove:  ``propose_block(step, k) -> (u, v, kinds)``, with
-  a list of ``Kind.ADD | Kind.REMOVE``
+* oblivious add/remove:  ``propose_block(step, k) -> (u, v, add)``, with
+  ``add`` a bool array of length k (True for Add, False for Remove)
 * adaptive:              ``propose(graph) -> pair`` (sees the realized graph,
   never the upcoming smoothing coin)
 
@@ -94,6 +94,7 @@ def _checked(n: int, allowed: Optional[frozenset], e: Pair) -> Pair:
 
 
 _PROVENANCE = np.array([Provenance.RANDOM, Provenance.ADVERSARIAL], dtype=object)  # by coin
+_KINDS = np.array([Kind.REMOVE, Kind.ADD, Kind.FLIP], dtype=object)  # by Add bit, 2 if replaced
 
 
 # A ChangeEvent from one (edge, kind, provenance) tuple, built in C: several
@@ -104,10 +105,13 @@ _event = partial(tuple.__new__, ChangeEvent)
 def _change_blocks(model: Model, p: float, adversary, n: int, rng, allowed, check):
     """Yield each block's per-step entries, in the draws of stream v2 (see
     :mod:`smoothdyn.rng`): an oblivious model's events, or for the adaptive
-    model, per step, whether the coin keeps the proposal and the
-    replacement pair.  An oblivious block's proposals are checked as a
-    whole; at the first bad one the block stops, and ``check`` raises at
-    its step."""
+    model, per step, whether the coin keeps the proposal, the replacement
+    pair and the provenance.  A step's kind is ``_KINDS`` at its Add bit
+    if kept, else at 2 (a replacement is a flip in every model), and its
+    provenance ``_PROVENANCE`` at its coin.  An add/remove block's ``add``
+    must be a bool array of length k, or the block raises at its first
+    step.  An oblivious block's proposals are checked as a whole; at the
+    first bad one the block stops, and ``check`` raises at its step."""
     allowed_codes = None if allowed is None else allowed[:, 0] * n + allowed[:, 1]
     step = 0
     for k in block_sizes():
@@ -115,28 +119,28 @@ def _change_blocks(model: Model, p: float, adversary, n: int, rng, allowed, chec
         kept = rng.random(k) < p
         ru, rv = uniform_pairs(n, rng, k, allowed)
         step += k
+        provenance = _PROVENANCE[kept.view(np.uint8)].tolist()
         if proposals is None:
-            yield zip(kept.tolist(), zip(ru.tolist(), rv.tolist()))
+            yield zip(kept.tolist(), zip(ru.tolist(), rv.tolist()), provenance)
             continue
-        u, v, *proposed = proposals
+        kinds = repeat(Kind.FLIP)
+        if model is Model.OBLIVIOUS_AR:
+            u, v, add = proposals
+            if not (isinstance(add, np.ndarray) and add.dtype == np.bool_ and add.shape == (k,)):
+                raise ContractViolation(f"add/remove adversary's Add bits are not {k} bools")
+            kinds = _KINDS[np.where(kept, add, 2)].tolist()
+        else:
+            u, v = proposals
         a, b = np.minimum(u, v), np.maximum(u, v)
         ok = (a >= 0) & (a != b) & (b < n)
         if allowed_codes is not None:
             ok &= np.isin(a * n + b, allowed_codes)
-        kinds = repeat(Kind.FLIP)  # a replacement is a flip in every model
-        if model is Model.OBLIVIOUS_AR:
-            (proposed,) = proposed
-            # list.count compares by identity first, without hashing each Kind
-            if proposed.count(Kind.ADD) + proposed.count(Kind.REMOVE) != k:
-                ok &= np.array([kd is Kind.ADD or kd is Kind.REMOVE for kd in proposed])
-            kinds = [kd if kp else Kind.FLIP for kd, kp in zip(proposed, kept.tolist())]
         edges = zip(np.where(kept, a, ru).tolist(), np.where(kept, b, rv).tolist())
-        events = list(map(_event, zip(edges, kinds, _PROVENANCE[kept.view(np.uint8)].tolist())))
+        events = list(map(_event, zip(edges, kinds, provenance)))
         if not ok.all():
             j = int(np.argmin(ok))
             yield events[:j]
-            check((int(u[j]), int(v[j])))
-            raise ContractViolation(f"add/remove adversary proposed kind {proposed[j]}")
+            check((int(u[j]), int(v[j])))  # raises: ``ok`` holds exactly the pairs it passes
         yield events
 
 
@@ -146,12 +150,14 @@ class SmoothedSource:
     Draws ``rng`` in stream v2 (see :mod:`smoothdyn.rng`): per block of k
     steps the coins, then a replacement pair for every step, used or not.
     An oblivious adversary's ``propose_block`` is asked for the same k
-    steps as the block is drawn; an adaptive adversary's ``propose(graph)``
-    is asked at every step.  Every proposal goes through ``_check``, an
-    oblivious block's once per block, so a violation raises at the step
-    that proposed it, and ends an oblivious source.  The source leaves
-    ``rng`` after the last block it drew, and nothing else should draw
-    from ``rng`` while it is in use.
+    steps as the block is drawn, an add/remove one returning the block's
+    Add bits as a bool array of length k; an adaptive adversary's
+    ``propose(graph)`` is asked at every step.  Every proposal goes through
+    ``_check``, an oblivious block's once per block, so a violation raises
+    at the step that proposed it, and ends an oblivious source; a block
+    whose Add bits are not such an array raises at its first step.  The
+    source leaves ``rng`` after the last block it drew, and nothing else
+    should draw from ``rng`` while it is in use.
     """
 
     def __init__(
@@ -181,10 +187,8 @@ class SmoothedSource:
         if graph is None:
             raise ValueError("adaptive model requires the realized graph")
         prop = self._check(self.adversary.propose(graph))
-        kept, replacement = self._next()
-        if kept:
-            return _event((prop, Kind.FLIP, Provenance.ADVERSARIAL))
-        return _event((replacement, Kind.FLIP, Provenance.RANDOM))
+        kept, replacement, provenance = self._next()
+        return _event((prop if kept else replacement, Kind.FLIP, provenance))
 
 
 def smooth_initial(
@@ -285,26 +289,21 @@ def write_event_log(events: Iterable[ChangeEvent], fp: IO[str]) -> None:
 # -- adversary handles ---------------------------------------------------
 
 
-def _uniform_blocks(n: int, rng: np.random.Generator, allowed: Optional[np.ndarray]):
-    """Each block of a uniform adversary's proposals, as an iterator of pairs."""
-    for k in block_sizes():
-        u, v = uniform_pairs(n, rng, k, allowed)
-        yield zip(u.tolist(), v.tolist())
-
-
 class UniformFlipAdversary:
     """The uniform strategy of every model: uniform pairs of ``restriction``,
     indexed as given, else of all pairs, drawn from ``rng`` a block at a
     time.  An oblivious model asks :meth:`propose_block` for k steps at a
     time; the adaptive model asks :meth:`propose` at every step, which
-    ignores the graph and serves blocks of :func:`~smoothdyn.rng.block_sizes`
-    one pair at a time.  Either way the draws are the same."""
+    ignores the graph and serves :meth:`propose_block`'s blocks of
+    :func:`~smoothdyn.rng.block_sizes` one pair at a time.  Either way the
+    draws are the same."""
 
     def __init__(self, n: int, rng: np.random.Generator, restriction: Optional[Sequence[Pair]] = None):
         self.n = n
         self._rng = rng
         self._allowed = None if restriction is None else _pair_array(restriction)
-        self._next = chain.from_iterable(_uniform_blocks(n, rng, self._allowed)).__next__
+        blocks = map(self.propose_block, repeat(0), block_sizes())  # the step is not read
+        self._next = chain.from_iterable(zip(u.tolist(), v.tolist()) for u, v in blocks).__next__
 
     def propose_block(self, step: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
         return uniform_pairs(self.n, self._rng, k, self._allowed)
@@ -315,22 +314,22 @@ class UniformFlipAdversary:
 
 class ScriptedFlipAdversary:
     """Oblivious proposals cycling through a fixed list of pairs by step
-    index; for the add/remove model, pair i comes with ``kinds[i]``."""
+    index; for the add/remove model, pair i comes with the Add bit
+    ``add[i]`` (True for Add, False for Remove), a bool each, and
+    :meth:`propose_block` returns the block's bits as a bool array."""
 
-    def __init__(self, edges: Sequence[Pair], kinds: Optional[Sequence[Kind]] = None):
+    def __init__(self, edges: Sequence[Pair], add: Optional[Sequence[bool]] = None):
         self._edges = _pair_array(edges)
         if not len(self._edges):
             raise ValueError("ScriptedFlipAdversary needs at least one proposal")
-        self._kinds = None if kinds is None else list(kinds)
-        if kinds is not None and len(self._kinds) != len(self._edges):
-            raise ValueError("ScriptedFlipAdversary needs one kind per pair")
+        self._add = None if add is None else np.array(add)  # a copy, of the bits' own dtype
+        if add is not None and (self._add.dtype != np.bool_ or self._add.shape != (len(self._edges),)):
+            raise ValueError("ScriptedFlipAdversary needs one bool Add bit per pair")
 
     def propose_block(self, step: int, k: int):
         at = np.arange(step, step + k) % len(self._edges)
         u, v = self._edges[at].T
-        if self._kinds is None:
-            return u, v
-        return u, v, [self._kinds[i] for i in at.tolist()]
+        return (u, v) if self._add is None else (u, v, self._add[at])
 
 
 class StarFlipAdversary(ScriptedFlipAdversary):
@@ -351,8 +350,9 @@ class FlipSimulatingARAdversary:
     Copies the wrapped flip strategy's edge choice each step and picks
     Add or Remove by a fair private coin; the realized process is then a
     lazy flip process with parameter ``p_prime(p) = p/(2-p)`` (each step
-    is null with probability p/2).  A block's coins are ``rng.random(k)``,
-    drawn after the wrapped block, which may come from the same ``rng``.
+    is null with probability p/2).  A block's Add bits are the bool array
+    ``rng.random(k) < 0.5``, drawn after the wrapped block, which may come
+    from the same ``rng``.
     """
 
     def __init__(self, flip_adversary, rng: np.random.Generator):
@@ -361,5 +361,4 @@ class FlipSimulatingARAdversary:
 
     def propose_block(self, step: int, k: int):
         u, v = self._flip_adversary.propose_block(step, k)
-        add = (self._rng.random(k) < 0.5).tolist()
-        return u, v, [Kind.ADD if a else Kind.REMOVE for a in add]
+        return u, v, self._rng.random(k) < 0.5

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from smoothdyn.adversaries import (
     EmbeddingTask,
@@ -18,14 +17,13 @@ from smoothdyn.adversaries import (
     run_oblivious_ar_embed,
 )
 from smoothdyn.counters import STPath3Counter
-from smoothdyn.graph import DynamicGraph, all_pairs, pair_count, random_graph
+from smoothdyn.graph import all_pairs, random_graph
 from smoothdyn.harness import (
     ExperimentConfig,
     bench_point,
     cmd_simulate,
     expensive_frac_prediction,
 )
-from smoothdyn.oracles import bf_st_paths
 from smoothdyn.reduction import (
     ChangeDistribution,
     ExactST3Counter,
@@ -41,7 +39,7 @@ from smoothdyn.reduction import (
     sol_solve,
     worstcase_to_average_split,
 )
-from smoothdyn.rng import stream, trial_stream
+from smoothdyn.rng import trial_stream
 
 
 def report(name: str, ok: bool, detail: str) -> None:

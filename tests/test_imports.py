@@ -1,7 +1,7 @@
-"""Every module-level import in ``smoothdyn`` is used by its module,
-every public module-level ``def`` or ``class`` and every public method of
-a public class is used somewhere, and every defaulted parameter is
-passed somewhere.
+"""Every module-level import in ``smoothdyn``, ``tests/`` and
+``perfbench/`` is used by its module, every public module-level ``def``
+or ``class`` and every public method of a public class is used
+somewhere, and every defaulted parameter is passed somewhere.
 
 Three ``ast`` scans.  Imports: each name a top-level ``import`` or
 ``from ... import`` binds must appear as a ``Name`` (which also covers the
@@ -26,6 +26,8 @@ import smoothdyn
 
 MODULES = sorted(Path(smoothdyn.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parent.parent
+# every file whose imports are scanned; the scan only reads them
+SCANNED = MODULES + sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("perfbench/*.py"))
 USERS = [REPO / "perfbench" / f for f in ("run.py", "workloads.py", "tracing.py")] + [
     REPO / "tests" / "test_acceptance.py"
 ]
@@ -155,7 +157,7 @@ def test_scan_finds_unused_names():
     assert unused_imports(source) == [(1, "os"), (3, "Tuple")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: p.name if p in MODULES else str(p.relative_to(REPO)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph
+from smoothdyn.graph import DynamicGraph, pair, random_graph
 from smoothdyn.oracles import (
     OracleCapError,
     bf_bipartite_matching,

@@ -146,8 +146,11 @@ def test_f2_oracle_frozen():
     assert f2_oumv_oracle(M, [1, 0], [1, 0]) == 1
     assert f2_oumv_oracle(M, [1, 1], [1, 0]) == 0  # 1 + 1 = 0 over F2
     assert int_oumv_oracle(M, [1, 1], [1, 0]) == 2
-    with pytest.raises(ValueError):
-        f2_oumv_oracle(M, [1, 0, 0], [1, 0])
+    for oracle in (f2_oumv_oracle, int_oumv_oracle):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle(M, [1, 0, 0], [1, 0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle(M, [1, 0], [1, 0, 0])
 
 
 def write_oumv_instance(inst, fp) -> None:

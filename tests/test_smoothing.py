@@ -321,12 +321,74 @@ def test_proposal_outside_restriction_raises_at_its_step():
             adaptive.next_change(DynamicGraph(4))
 
 
-def test_add_remove_kind_is_checked_at_its_step():
-    adv = ScriptedFlipAdversary([(0, 1), (1, 2), (2, 3)], [Kind.ADD, Kind.REMOVE, Kind.FLIP])
-    source = SmoothedSource(Model.OBLIVIOUS_AR, SmoothingParams(0.5), adv, 4, rng=smoothing_stream(3))
-    source.next_change(), source.next_change()
-    with pytest.raises(ContractViolation, match="kind"):
+@pytest.mark.parametrize(
+    "add",
+    [
+        [True, False, Kind.ADD],  # a Kind is not an Add bit
+        [1, 0, 1],
+        [True, False],  # one bit short
+        [True, False, True, False],
+        [[True], [False], [True]],
+        np.array([1, 0, 1], dtype=np.uint8),
+    ],
+    ids=["kind", "ints", "short", "long", "column", "uint8"],
+)
+def test_scripted_add_bits_are_checked_at_construction(add):
+    with pytest.raises(ValueError, match="one bool Add bit per pair"):
+        ScriptedFlipAdversary([(0, 1), (1, 2), (2, 3)], add)
+
+
+class _BadAddAdversary:
+    """Valid proposals, whose Add bits turn to ``bad`` from step ``at`` on."""
+
+    def __init__(self, bad, at):
+        self.bad, self.at = bad, at
+
+    def propose_block(self, step, k):
+        u, v = np.zeros(k, np.int64), np.ones(k, np.int64)
+        add = np.ones(k, dtype=bool)
+        return u, v, (self.bad(k) if step >= self.at else add)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda k: [True] * k,  # a list, not an array
+        lambda k: [Kind.ADD] * k,
+        lambda k: np.ones(k, dtype=np.uint8),
+        lambda k: np.ones(k + 1, dtype=bool),
+        lambda k: np.ones((k, 1), dtype=bool),
+        lambda k: np.array([Kind.ADD] * k, dtype=object),
+    ],
+    ids=["list", "kinds", "uint8", "long", "column", "object"],
+)
+def test_bad_add_bits_raise_at_their_blocks_first_step(bad):
+    """An add/remove block whose Add bits are not a bool array of length k
+    raises at the block's first step, after every step of the earlier
+    blocks (16 + 32 of stream v2) was served."""
+    source = SmoothedSource(
+        Model.OBLIVIOUS_AR, SmoothingParams(0.5), _BadAddAdversary(bad, 48), 4,
+        rng=smoothing_stream(3),
+    )
+    for _ in range(48):
         source.next_change()
+    with pytest.raises(ContractViolation, match="Add bits"):
+        source.next_change()
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(list(all_pairs(6))), st.booleans()), min_size=1, max_size=9),
+    st.integers(0, 10**6),
+    st.integers(0, 100),
+)
+@settings(max_examples=100, deadline=None)
+def test_scripted_block_cycles_pairs_and_add_bits(script, step, k):
+    pairs, add = [e for e, _ in script], [a for _, a in script]
+    u, v, got = ScriptedFlipAdversary(pairs, add).propose_block(step, k)
+    m = len(script)
+    assert got.dtype == np.bool_ and got.shape == (k,)
+    assert list(zip(u.tolist(), v.tolist())) == [pairs[i % m] for i in range(step, step + k)]
+    assert got.tolist() == [add[i % m] for i in range(step, step + k)]
 
 
 class _PreFlipProbe:
