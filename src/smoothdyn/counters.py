@@ -13,7 +13,11 @@ pre-flip neighbourhoods, the popcount of two rows ANDed.  A
 ``TwoPathTable`` moves the counts of a long row (more than ``_WALK_MAX``
 nodes) with one numpy operation on an int64 buffer and returns the
 moved nodes as a bit mask; st4 and s-4-cycle fold the table over such a
-row as one dot product.  Shorter rows are walked node by node, which
+row as one dot product.  Every table reads the flipped row's pre-flip
+bits as one int64 array, unpacked once per flip and cached by content
+(``_unpack``), so the four table calls of an s-edge flip share one
+unpack and no vector operation casts.  A table is built from one unpack
+of all the rows it sums.  Shorter rows are walked node by node, which
 costs less at that length.
 
 Counters expose ``ops``, the paper's modelled count of elementary
@@ -27,6 +31,7 @@ s-triangle charge a 2-path table they do not keep.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -41,10 +46,15 @@ from .graph import DynamicGraph, Pair
 _WALK_MAX = 48
 
 
+@lru_cache(maxsize=4)
 def _unpack(mask: int, n: int) -> np.ndarray:
-    """The bits 0..n-1 of ``mask`` as a length-n uint8 array of 0s and 1s."""
+    """The bits 0..n-1 of ``mask`` as a read-only length-n int64 array of
+    0s and 1s.  Cached by content: the tables of every counter on a graph
+    ask for the same pre-flip row in one flip, and it is unpacked once."""
     packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little")
+    bits = np.unpackbits(packed, count=n, bitorder="little").astype(np.int64)
+    bits.flags.writeable = False
+    return bits
 
 
 class TwoPathTable:
@@ -55,18 +65,22 @@ class TwoPathTable:
     never t_excluded).  c[s] is 0 at all times.  Once n exceeds
     ``_WALK_MAX + 1``, ``c`` is an int64 ``array`` whose elements read as
     Python ints, and a numpy view of the same buffer moves or folds a row
-    of more than ``_WALK_MAX`` nodes in one vector operation.  Shorter
-    rows are walked node by node; below that n every row is, and ``c`` is
-    a list, whose elements read and write faster.
+    of more than ``_WALK_MAX`` nodes in one vector operation on the row's
+    shared ``_unpack``; s and the skipped nodes are then taken out as
+    scalar fix-ups.  Shorter rows are walked node by node; below that n
+    every row is, and ``c`` is a list, whose elements read and write
+    faster.  The build sums the rows of the counted middles, N(s) less
+    t_excluded, as columns of one unpacked bit matrix.
 
     ``update(e, now_present)`` runs before the flip of e, applies +/-1 to
     every c[u] the flip moves and returns those nodes as a bit mask (bit
     u set iff c[u] moved), an int the table does not keep.
 
-    Update cost: O(1) for an edge not incident to s.  An (s,v) edge
-    charges n ops, the modelled scan of every node for (v,u) membership,
-    and moves exactly v's other neighbours, the row ``rows[v]`` without
-    s.  Every write to c costs one more op.
+    Cost: the build charges one op per 2-path it counts, |N(v) - {s}|
+    for each middle v.  An update costs O(1) for an edge not incident to
+    s.  An (s,v) edge charges n ops, the modelled scan of every node for
+    (v,u) membership, and moves exactly v's other neighbours, the row
+    ``rows[v]`` without s.  Every write to c costs one more op.
     """
 
     __slots__ = ("g", "s", "t_excluded", "c", "_vec", "ops")
@@ -75,15 +89,20 @@ class TwoPathTable:
         self.g = g
         self.s = s
         self.t_excluded = t_excluded
-        if g.n - 1 > _WALK_MAX:
-            self.c = array("q", bytes(8 * g.n))
+        n, size = g.n, (g.n + 7) // 8
+        mids = g.neighbors(s) - {t_excluded}
+        # every middle v is adjacent to s, so it adds |N(v)| - 1 counts
+        self.ops = sum(g.degree(v) - 1 for v in mids)
+        packed = b"".join(g.rows[v].to_bytes(size, "little") for v in mids)
+        matrix = np.frombuffer(packed, dtype=np.uint8).reshape(len(mids), size)
+        bits = np.unpackbits(matrix, axis=1, count=n, bitorder="little")
+        counts = bits.sum(axis=0, dtype=np.int64)
+        counts[s] = 0
+        if n - 1 > _WALK_MAX:
+            self.c = array("q", counts.tobytes())
             self._vec = np.frombuffer(self.c, dtype=np.int64)  # writes through to c
         else:  # no row is long enough for the vector path
-            self.c, self._vec = [0] * g.n, None
-        self.ops = 0
-        for v in g.neighbors(s):
-            if v != t_excluded:
-                self.ops += self._move(v, 1).bit_count()
+            self.c, self._vec = counts.tolist(), None
 
     def query(self, u: int) -> int:
         return self.c[u]
@@ -91,32 +110,30 @@ class TwoPathTable:
     def _move(self, v: int, delta: int) -> int:
         """Add delta to c[u] for every neighbour u of v but s; return them as a mask."""
         g, s = self.g, self.s
-        moved = g.rows[v] & ~(1 << s)
+        row = g.rows[v]
         nbrs = g.neighbors(v)
         if len(nbrs) > _WALK_MAX:
-            bits = _unpack(moved, g.n)
             if delta > 0:
-                self._vec += bits
+                self._vec += _unpack(row, g.n)
             else:
-                self._vec -= bits
+                self._vec -= _unpack(row, g.n)
         else:
             c = self.c
             for u in nbrs:
                 c[u] += delta
-            if s in nbrs:
-                c[s] -= delta  # c[s] stays 0
-        return moved
+        if s in nbrs:
+            self.c[s] -= delta  # c[s] stays 0
+            return row ^ (1 << s)
+        return row
 
     def row_total(self, x: int, skip: Tuple[int, ...]) -> int:
         """Sum of c[u] over the neighbours u of x that are not in ``skip``."""
         g, c = self.g, self.c
         nbrs = g.neighbors(x)
         if len(nbrs) > _WALK_MAX:
-            row = g.rows[x]
-            for u in skip:
-                row &= ~(1 << u)
-            return int(np.dot(self._vec, _unpack(row, g.n)))
-        total = sum(map(c.__getitem__, nbrs))
+            total = int(self._vec.dot(_unpack(g.rows[x], g.n)))
+        else:
+            total = sum(map(c.__getitem__, nbrs))
         for u in skip:
             if u in nbrs:
                 total -= c[u]

@@ -29,6 +29,7 @@ from typing import (
 import numpy as np
 
 from . import rng as rngmod
+from .adversaries import EmbeddingTask, run_adaptive_embed
 from .counters import (
     SFourCycleCounter,
     STPath3Counter,
@@ -37,7 +38,7 @@ from .counters import (
     TrivialDecider,
     TwoPathTable,
 )
-from .graph import DynamicGraph, pair_count, random_graph
+from .graph import DynamicGraph, all_pairs, pair_count, random_graph
 from .oracles import (
     ENUM_CAP,
     bf_bipartite_matching,
@@ -445,9 +446,6 @@ def cmd_verify(seed: int = 0) -> List[Tuple[str, bool, str]]:
             raise AssertionError("Poisson parity mass off")
 
     def embed_invariants() -> None:
-        from .adversaries import EmbeddingTask, run_adaptive_embed
-        from .graph import all_pairs
-
         rng = rngmod.stream(seed, 3)
         region = frozenset(list(all_pairs(30))[:40])
         flips = tuple(sorted(region)[:5])

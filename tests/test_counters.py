@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothdyn import counters
 from smoothdyn.counters import (
     SFourCycleCounter,
     STPath3Counter,
@@ -9,6 +11,7 @@ from smoothdyn.counters import (
     STriangleCounter,
     TrivialDecider,
     TwoPathTable,
+    _unpack,
 )
 from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph
 from smoothdyn.oracles import (
@@ -258,6 +261,25 @@ class TableSTriangleCounter:
         return self.c2 // 2
 
 
+def _draw_step(data, g, s, t):
+    """One s-, t-, (s,t)-, interior or null step on g, with s, t = 0, 1."""
+    n = g.n
+    kind = data.draw(st.sampled_from(["s", "t", "st", "s-near-t", "interior", "null"]))
+    near_t = sorted(g.neighbors(t) - {s})
+    if kind == "st":
+        return (s, t)
+    if kind == "s-near-t" and near_t:
+        return pair(s, data.draw(st.sampled_from(near_t)))
+    if kind in ("s", "s-near-t"):
+        return pair(s, data.draw(st.integers(2, n - 1)))
+    if kind == "t":
+        return pair(t, data.draw(st.integers(2, n - 1)))
+    if kind == "interior":
+        nodes = st.lists(st.integers(2, n - 1), min_size=2, max_size=2, unique=True)
+        return pair(*data.draw(nodes))
+    return None
+
+
 def _drive_pairs(data, make_pairs):
     """Draw a graph of up to 160 nodes, far above the rows TwoPathTable
     walks node by node, and a stream of s-, t-, (s,t)-, interior and null
@@ -269,21 +291,7 @@ def _drive_pairs(data, make_pairs):
     for fast, table in pairs:
         assert (fast.ops, fast.query()) == (table.ops, table.query())
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
-        kind = data.draw(st.sampled_from(["s", "t", "st", "s-near-t", "interior", "null"]))
-        near_t = sorted(g.neighbors(t) - {s})
-        if kind == "st":
-            e = (s, t)
-        elif kind == "s-near-t" and near_t:
-            e = pair(s, data.draw(st.sampled_from(near_t)))
-        elif kind in ("s", "s-near-t"):
-            e = pair(s, data.draw(st.integers(2, n - 1)))
-        elif kind == "t":
-            e = pair(t, data.draw(st.integers(2, n - 1)))
-        elif kind == "interior":
-            nodes = st.lists(st.integers(2, n - 1), min_size=2, max_size=2, unique=True)
-            e = pair(*data.draw(nodes))
-        else:
-            e = None
+        e = _draw_step(data, g, s, t)
         present = e is not None and not g.has_pair(e)
         for fast, table in pairs:
             fast.update(e, present)
@@ -291,7 +299,7 @@ def _drive_pairs(data, make_pairs):
         if e is not None:
             g.flip(*e)
         for fast, table in pairs:
-            assert (fast.ops, fast.query()) == (table.ops, table.query()), (kind, e)
+            assert (fast.ops, fast.query()) == (table.ops, table.query()), e
 
 
 @given(st.data())
@@ -317,6 +325,82 @@ def test_table_counters_match_the_walked_tables(data):
         return [(STPath4Counter(g, s, t), walked4), (SFourCycleCounter(g, s), walked_cycles)]
 
     _drive_pairs(data, make_pairs)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_table_build_matches_the_adjacency_sets(data):
+    """A fresh table's counts and ops, from the adjacency sets alone: c[u]
+    counts the middles v in N(s) - {t_excluded} adjacent to u, and the
+    build charges |N(v) - {s}| for each middle v."""
+    n = data.draw(st.integers(5, 160), label="n")
+    s, t = 0, 1
+    g = random_graph(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    hub = data.draw(st.sampled_from(["random", "isolated", "adjacent to all"]), label="hub")
+    if hub != "random":
+        for v in range(1, n):
+            if g.has(s, v) != (hub == "adjacent to all"):
+                g.flip(s, v)
+    excluded = data.draw(st.sampled_from([None, t]), label="t_excluded")
+    table = TwoPathTable(g, s, excluded)
+    mids = [v for v in range(n) if v != excluded and s in g.neighbors(v)]
+    expected = [0 if u == s else sum(u in g.neighbors(v) for v in mids) for u in range(n)]
+    assert list(table.c) == expected
+    assert all(type(k) is int for k in table.c)
+    assert table.ops == sum(len(g.neighbors(v) - {s}) for v in mids)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_each_flip_unpacks_its_row_once_for_every_table(data):
+    """st4, s-4-cycle and a t-excluded TwoPathTable on one n = 160 graph,
+    whose rows are long enough for the vector path, share the unpack of
+    the flipped row: at most one ``_unpack`` miss per flip, and every
+    array it returns is a read-only int64 row of length n."""
+    n, s, t = 160, 0, 1
+    g = random_graph(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    observers = [STPath4Counter(g, s, t), SFourCycleCounter(g, s), TwoPathTable(g, s, t)]
+    returned = []
+
+    def recording_unpack(mask, size):
+        returned.append(_unpack(mask, size))
+        return returned[-1]
+
+    _unpack.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counters, "_unpack", recording_unpack)
+        for _ in range(data.draw(st.integers(1, 40), label="steps")):
+            e = _draw_step(data, g, s, t)
+            misses = _unpack.cache_info().misses
+            present = e is not None and not g.has_pair(e)
+            for observer in observers:
+                observer.update(e, present)
+            assert _unpack.cache_info().misses - misses <= 1, e
+            if e is not None:
+                g.flip(*e)
+    # the oracles stop at n = 64; a fresh build reads the graph afresh
+    assert observers[0].query() == STPath4Counter(g, s, t).query()
+    assert observers[1].query() == SFourCycleCounter(g, s).query()
+    assert observers[2].c == TwoPathTable(g, s, t).c
+    for bits in returned:
+        assert bits.dtype == np.int64 and bits.shape == (n,)
+        with pytest.raises(ValueError):
+            bits += 1
+
+
+def test_unpack_keys_on_the_node_count():
+    """Two graphs of different n whose row 0 is the same int: each flip of
+    (0, 56) moves its table by a row of its own graph's length."""
+    graphs = [DynamicGraph(n, [(0, v) for v in range(1, 56)]) for n in (60, 100)]
+    assert graphs[0].rows[0] == graphs[1].rows[0]
+    cycles = [SFourCycleCounter(g, 56) for g in graphs]
+    _unpack.cache_clear()
+    for g, counter in zip(graphs, cycles):
+        counter.update((0, 56), True)
+        g.flip(0, 56)
+        assert list(counter.two.c) == [0] + [1] * 55 + [0] * (g.n - 56)
+    assert _unpack.cache_info().misses == 2
+    assert [_unpack(graphs[0].rows[0] & ~(1 << 56), g.n).shape for g in graphs] == [(60,), (100,)]
 
 
 def test_update_cost_profile():

@@ -1,12 +1,14 @@
 """Every module-level import in ``smoothdyn``, ``tests/`` and
-``perfbench/`` is used by its module, every public module-level ``def``
+``perfbench/`` is used by its module, ``smoothdyn`` imports in function
+bodies only what it must load lazily, every public module-level ``def``
 or ``class`` and every public method of a public class is used
 somewhere, and every defaulted parameter is passed somewhere.
 
-Three ``ast`` scans.  Imports: each name a top-level ``import`` or
+Four ``ast`` scans.  Imports: each name a top-level ``import`` or
 ``from ... import`` binds must appear as a ``Name`` (which also covers the
 base of every ``Attribute`` chain such as ``np.random``) somewhere in the
-module.  Public names: each must appear as a ``Name`` or an attribute
+module.  Function imports: each ``import`` inside a ``def`` body of a
+``smoothdyn`` module must be on a short keep-list.  Public names: each must appear as a ``Name`` or an attribute
 outside its own body, in some ``smoothdyn`` module, in the benchmark's
 workload code or in the acceptance suite; the unit tests do not count.
 Parameters: each defaulted parameter of a ``def`` or method must be
@@ -47,6 +49,14 @@ UNREFERENCED_KEPT = {
     "read_oumv_instance",
 }
 
+# Imports inside a smoothdyn function body, as (module, function, imported
+# module), each kept there for a reason.
+LAZY_IMPORTS_KEPT = {
+    # scipy.stats takes about a second to load, and only the histogram
+    # check needs it (test_cli_import_leaves_scipy_stats_unloaded)
+    ("reduction.py", "_chi2_pvalue", "scipy"),
+}
+
 # Defaulted parameters that no counted call passes, each kept for a use.
 UNPASSED_KEPT = {
     # the CLI tests' entry point
@@ -66,6 +76,22 @@ def unused_imports(source: str) -> list:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def function_imports(source: str) -> list:
+    """(line, function, module) of each import inside a ``def`` body, the
+    innermost ``def`` named and a relative module written with its dots."""
+    found = []
+    stack = [(ast.parse(source), None)]
+    while stack:
+        node, fn = stack.pop()
+        if isinstance(node, ast.Import) and fn is not None:
+            found += [(node.lineno, fn, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and fn is not None:
+            found.append((node.lineno, fn, "." * node.level + (node.module or "")))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+    return sorted(found)
 
 
 def unreferenced_public_names(modules: dict, users: dict) -> list:
@@ -160,6 +186,28 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: p.name if p in MODULES else str(p.relative_to(REPO)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_function_imports():
+    source = (
+        "import os\nfrom . import rng\n\ndef f():\n    import json, csv\n"
+        "    def g():\n        from .graph import pair\n    return json\n\n"
+        "class C:\n    from typing import List\n\n    def m(self):\n"
+        "        if os:\n            from scipy import stats\n"
+    )
+    assert function_imports(source) == [
+        (5, "f", "csv"), (5, "f", "json"), (7, "g", ".graph"), (15, "m", "scipy")
+    ]
+
+
+def test_no_imports_in_function_bodies():
+    found = {
+        (path.name, fn, module)
+        for path in MODULES
+        for _, fn, module in function_imports(path.read_text())
+    }
+    # a kept import that leaves its function also leaves the keep-list
+    assert found == LAZY_IMPORTS_KEPT
 
 
 def test_scan_finds_unreferenced_public_names():
