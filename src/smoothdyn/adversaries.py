@@ -133,7 +133,7 @@ def run_adaptive_embed(
     steps = 0
     while not adversary.done and steps < task.budget:
         ev = source.next_change(g)
-        notify_and_flip(g, ev.edge, not g.has_pair(ev.edge), observers)
+        notify_and_flip(g, (ev.edge,), observers)
         if ev.provenance is _RANDOM and ev.edge in task.region:
             hits += 1
         steps += 1

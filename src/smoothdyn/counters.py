@@ -2,23 +2,25 @@
 
 Every counter follows one ordering contract: ``update(edge, now_present)``
 is invoked BEFORE the flip is applied to the shared graph, so the counter
-reads the pre-flip graph and is told the post-flip presence bit.  Updates
-with ``edge is None`` are null steps and cost O(1); ``run_sequence``
-delivers each ineffective add/remove event as ``update(None, False)``.
+reads the pre-flip graph and is told the post-flip presence bit
+(:func:`smoothdyn.smoothing.notify_and_flip`).  Updates with ``edge is
+None`` are null steps and cost O(1); ``run_sequence`` delivers each
+ineffective add/remove event as ``update(None, False)``.
 
-The O(n) work of an s- or t-edge update runs word-parallel on the
-graph's bit rows (``DynamicGraph.rows``).  st3 and s-triangle keep no
-table: each flip moves their count by at most one intersection of
-pre-flip neighbourhoods, the popcount of two rows ANDed.  A
-``TwoPathTable`` moves the counts of a long row (more than ``_WALK_MAX``
-nodes) with one numpy operation on an int64 buffer and returns the
-moved nodes as a bit mask; st4 and s-4-cycle fold the table over such a
-row as one dot product.  Every table reads the flipped row's pre-flip
-bits as one int64 array, unpacked once per flip and cached by content
-(``_unpack``), so the four table calls of an s-edge flip share one
-unpack and no vector operation casts.  A table is built from one unpack
-of all the rows it sums.  Shorter rows are walked node by node, which
-costs less at that length.
+A single membership is read from an adjacency set.  The O(n) work of an
+s- or t-edge update runs word-parallel on the graph's bit rows
+(``DynamicGraph.rows``).  st3 and s-triangle keep no table: each flip
+moves their count by at most one intersection of pre-flip
+neighbourhoods, the popcount of two rows ANDed.  A ``TwoPathTable``
+moves the counts of a long row (more than ``_WALK_MAX`` nodes) with one
+numpy operation on an int64 buffer and returns the moved nodes as a bit
+mask; st4 and s-4-cycle fold the table over such a row as one dot
+product.  Every table reads the flipped row's pre-flip bits as one int64
+array, unpacked once per flip and cached by content (``_unpack``), so
+the four table calls of an s-edge flip share one unpack and no vector
+operation casts.  A table is built from one unpack of all the rows it
+sums.  Shorter rows are walked node by node, which costs less at that
+length.
 
 Counters expose ``ops``, the paper's modelled count of elementary
 operations (edge-membership tests and counter-table writes) used by the
@@ -184,23 +186,27 @@ class STPath3Counter:
         self.c = sum((rows[t] & rows[v]).bit_count() for v in mids) - len(mids) * g.has(s, t)
 
     def update(self, e: Optional[Pair], now_present: bool) -> None:
+        if e is None:
+            return
         s, t, g = self.s, self.t, self.g
-        if e is None or (s in e and t in e):
-            return  # a null step, or the (s,t) edge, which lies on no s-t 3-path
         a, b = e
         delta = 1 if now_present else -1
-        ns, nt = g.neighbors(s), g.neighbors(t)
+        ns = g.neighbors(s)  # every branch reads N(s); N(t) only where needed
         if a == s or b == s:
             v = b if a == s else a
+            if v == t:
+                return  # the (s,t) edge lies on no s-t 3-path
             self.c += delta * ((g.rows[t] & g.rows[v]).bit_count() - (t in ns and v in ns))
             self.ops += g.n + 2 * (g.degree(v) - (v in ns))
         elif a == t or b == t:
             x = b if a == t else a
-            self.c += delta * ((g.rows[s] & g.rows[x]).bit_count() - (t in ns and x in nt))
+            self.c += delta * ((g.rows[s] & g.rows[x]).bit_count() - (t in ns and x in g.neighbors(t)))
             self.ops += 3 + (x in ns)
         else:
             sa, sb = a in ns, b in ns
-            self.c += delta * ((sa and b in nt) + (sb and a in nt))
+            if sa or sb:  # otherwise no 3-path (s, a, b, t) or (s, b, a, t) can form
+                nt = g.neighbors(t)
+                self.c += delta * ((sa and b in nt) + (sb and a in nt))
             self.ops += 2 + 2 * (sa + sb)
 
     def query(self) -> int:
@@ -259,24 +265,26 @@ class STPath4Counter:
                 total -= k
             self.c += delta * total
             self._ops += 1 + k
-        else:
-            u, v = a, b
-            su, sv = g.has(s, u), g.has(s, v)
-            ut, vt = g.has(u, t), g.has(v, t)
-            self._ops += 4
-            # the pre-flip 2-path tables exclude any 2-path through (u,v),
-            # so on insertion they are exact; on deletion the degenerate
-            # walk re-enters whenever the bridging edge exists
-            if su:  # type (s,u,v,x,t)
-                self.c += delta * (self.tside.c[v] - (0 if now_present else (1 if ut else 0)))
-            if sv:  # type (s,v,u,x,t)
-                self.c += delta * (self.tside.c[u] - (0 if now_present else (1 if vt else 0)))
-            if vt:  # type (s,x,u,v,t)
-                self.c += delta * (self.sside.c[u] - (0 if now_present else (1 if sv else 0)))
-            if ut:  # type (s,x,v,u,t)
-                self.c += delta * (self.sside.c[v] - (0 if now_present else (1 if su else 0)))
-        self.sside.update(e, now_present)
-        self.tside.update(e, now_present)
+            self.sside.update(e, now_present)
+            self.tside.update(e, now_present)
+            return
+        u, v = a, b
+        ns, nt = g.neighbors(s), g.neighbors(t)
+        su, sv, ut, vt = u in ns, v in ns, u in nt, v in nt
+        sc, tc = self.sside.c, self.tside.c
+        self._ops += 4
+        # types (s,u,v,x,t), (s,v,u,x,t), (s,x,u,v,t), (s,x,v,u,t); the pre-flip
+        # tables exclude 2-paths through (u,v), but on deletion the walks
+        # (s,u,v,u,t) and (s,v,u,v,t) re-enter, each in two types
+        paths = su * tc[v] + sv * tc[u] + vt * sc[u] + ut * sc[v]
+        self.c += delta * (paths if now_present else paths - 2 * (su * ut + sv * vt))
+        # then both tables' own update(e) moves, from the same four bits
+        sc[v] += su * delta
+        sc[u] += sv * delta
+        tc[v] += ut * delta
+        tc[u] += vt * delta
+        self.sside.ops += 2 + su + sv
+        self.tside.ops += 2 + ut + vt
 
     def query(self) -> int:
         return self.c

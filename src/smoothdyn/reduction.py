@@ -126,6 +126,7 @@ class P3Layout:
         return [self.sa_edge(i) for i in range(self.n)] + [self.bt_edge(j) for j in range(self.n)]
 
     def interior_edges(self) -> List[Pair]:
+        """The side edges, then ``ab_edge(i, j)`` at index 2n + i n + j."""
         n = self.n
         return self.side_edges() + [self.ab_edge(i, j) for i in range(n) for j in range(n)]
 
@@ -271,8 +272,9 @@ st3_counter_factory = STPath3Counter
 
 def round_sequences(
     layout: P3Layout, lam_side: float, lam_ab: float, dif: Sequence[int], rng: np.random.Generator
-) -> List[List[Pair]]:
-    """The three copies' shuffled change sequences for one solver round.
+) -> List[np.ndarray]:
+    """The three copies' shuffled change sequences for one solver round,
+    each an int64 array of indices into ``layout.interior_edges()``.
 
     ``dif`` holds the round's 2n difference bits, u_dif then v_dif.  Every
     copy gets Poisson(lam_side) changes of each side edge, of the parity
@@ -281,18 +283,15 @@ def round_sequences(
     (:func:`poisson_parity_conditional`, redraws included), then per copy
     its AB count ``poisson(lam_ab)`` and its 2z endpoints
     ``integers(n, size=2z)`` (i0, j0, i1, j1, ...), then the three
-    shuffles.
+    shuffles, each the permutation a list of the same entries would get.
     """
-    counts = poisson_parity_conditional(lam_side, dif, rng).tolist()
-    shared: List[Pair] = []
-    for e, count in zip(layout.side_edges(), counts):
-        shared.extend([e] * count)
-    seqs: List[List[Pair]] = [list(shared) for _ in range(3)]
-    for j in range(3):
-        ends = rng.integers(layout.n, size=2 * poisson_sample(lam_ab, rng)).tolist()
-        batch = list(map(layout.ab_edge, ends[::2], ends[1::2]))
-        for seq in seqs[:j] + seqs[j + 1 :]:
-            seq.extend(batch)
+    n = layout.n
+    shared = np.repeat(np.arange(2 * n), poisson_parity_conditional(lam_side, dif, rng))
+    batches = []
+    for _ in range(3):
+        ends = rng.integers(n, size=2 * poisson_sample(lam_ab, rng))
+        batches.append(2 * n + ends[::2] * n + ends[1::2])
+    seqs = [np.concatenate([shared, *batches[:j], *batches[j + 1 :]]) for j in range(3)]
     for seq in seqs:
         rng.shuffle(seq)
     return seqs
@@ -323,6 +322,7 @@ class ParityOuMvSolver:
         self.layout = P3Layout(n)
         dist = ChangeDistribution(p, n)
         self.lam_side, self.lam_ab = dist.poisson_rates(rounds_parameter(n, p))
+        self.pairs = tuple(self.layout.interior_edges())  # what round_sequences' codes index
         self.graphs = [self.layout.graph_of(M, u0, v0) for _ in range(3)]
         self.counters = [
             counter_factory(g, self.layout.s, self.layout.t) for g in self.graphs
@@ -338,10 +338,8 @@ class ParityOuMvSolver:
         v = np.asarray(v, dtype=np.uint8) % 2
         dif = np.concatenate([u ^ self.u_prev, v ^ self.v_prev])
         seqs = round_sequences(self.layout, self.lam_side, self.lam_ab, dif, self.rng)
-        for g, counter, seq in zip(self.graphs, self.counters, seqs):
-            observers = (counter,)
-            for e in seq:
-                notify_and_flip(g, e, not g.has_pair(e), observers)
+        for g, counter, codes in zip(self.graphs, self.counters, seqs):
+            notify_and_flip(g, map(self.pairs.__getitem__, codes.tolist()), (counter,))
         self.u_prev, self.v_prev = u, v
         return sum(c.query() for c in self.counters) % 2
 
@@ -431,10 +429,8 @@ def dadvp_verify_histogram(
     solver = np.empty((samples, 3), dtype=np.int64)
     for i in range(samples):
         dif = rng.poisson(lam_side, size=2 * n) % 2
-        seq = round_sequences(layout, lam_side, lam_ab, dif, rng)[0]
-        n_sa = sum(e[0] == layout.s for e in seq)
-        n_bt = sum(e[1] == layout.t for e in seq)
-        solver[i] = (n_sa, n_bt, len(seq) - n_sa - n_bt)
+        codes = round_sequences(layout, lam_side, lam_ab, dif, rng)[0]
+        solver[i] = np.bincount(np.minimum(codes // n, 2), minlength=3)  # < n, < 2n, the rest
     totals = np.vstack([genuine.sum(axis=0), solver.sum(axis=0)])
     cols = totals.sum(axis=0) > 0
     type_p = _chi2_pvalue(totals[:, cols]) if cols.sum() > 1 else 1.0

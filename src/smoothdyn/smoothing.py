@@ -241,14 +241,18 @@ def apply_event(g: DynamicGraph, ev: ChangeEvent) -> Tuple[bool, bool]:
     return present, False  # REMOVE
 
 
-def notify_and_flip(g: DynamicGraph, e: Pair, now_present: bool, observers: Iterable) -> None:
-    """Call every observer's ``update(e, now_present)`` while ``g`` still
-    holds the pre-flip state (the counters' ordering contract), then flip
-    ``e`` in ``g``; ``now_present`` is ``not g.has_pair(e)``, which the
-    caller has already read."""
-    for obs in observers:
-        obs.update(e, now_present)
-    g.flip(*e)
+def notify_and_flip(g: DynamicGraph, edges: Iterable[Pair], observers: Sequence) -> None:
+    """Flip each pair e of ``edges`` in ``g``, in order, first calling every
+    observer's ``update(e, now_present)`` while ``g`` still holds the
+    pre-flip state (the counters' ordering contract).  ``now_present`` is
+    read from ``g`` once every earlier flip has landed, so ``edges`` may
+    be a generator that reads ``g``."""
+    nbrs, flip = g.neighbors, g.flip
+    for e in edges:
+        now_present = e[1] not in nbrs(e[0])
+        for obs in observers:
+            obs.update(e, now_present)
+        flip(*e)
 
 
 def run_sequence(
@@ -259,25 +263,28 @@ def run_sequence(
 ) -> List[ChangeEvent]:
     """Drive T steps, applying realized events and notifying observers.
 
-    :func:`apply_event` classifies each event; an effective one goes, with
-    the membership ``apply_event`` read, through :func:`notify_and_flip`,
-    the one place that implements the counters' ordering contract
-    (``update(edge, now_present)`` before the flip lands on the shared
-    graph).  An ineffective add/remove event is a null step of the lazy
-    flip process: every observer gets ``update(None, False)`` at that
-    step.  Provenance is never passed on.
+    :func:`apply_event` classifies each event, and the effective ones go,
+    as one generator that draws each step after the last flip landed,
+    through :func:`notify_and_flip`, the one place that implements the
+    counters' ordering contract (``update(edge, now_present)`` before the
+    flip lands on the shared graph).  An ineffective add/remove event is
+    a null step of the lazy flip process: every observer gets
+    ``update(None, False)`` at that step.  Provenance is never passed on.
     """
     observers = list(observers)
     log: List[ChangeEvent] = []
-    for _ in range(T):
-        ev = source.next_change(g)
-        effective, present = apply_event(g, ev)
-        if effective:
-            notify_and_flip(g, ev.edge, present, observers)
-        else:
-            for obs in observers:
-                obs.update(None, False)
-        log.append(ev)
+
+    def effective_edges():
+        for _ in range(T):
+            ev = source.next_change(g)
+            log.append(ev)
+            if apply_event(g, ev)[0]:
+                yield ev.edge
+            else:
+                for obs in observers:
+                    obs.update(None, False)
+
+    notify_and_flip(g, effective_edges(), observers)
     return log
 
 

@@ -311,6 +311,45 @@ def test_intersection_counters_match_the_table_fold(data):
     ])
 
 
+def _st3_charge(g, s, t, e):
+    """The ops one st3 update charges on the pre-flip g, branch by branch."""
+    if e is None or {s, t} == set(e):
+        return 0
+    a, b = e
+    ns = g.neighbors(s)
+    if s in e:
+        v = a + b - s
+        return g.n + 2 * (g.degree(v) - (v in ns))
+    if t in e:
+        return 3 + (a + b - t in ns)
+    return 2 + 2 * ((a in ns) + (b in ns))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_st3_matches_brute_force_and_its_ops_formula(data):
+    """After every s-, t-, (s,t)-, interior or null step, st3's count is
+    the brute-force count, its ops total grows by the formula's charge,
+    and st4's 2-path tables, moved inline on interior steps, equal tables
+    built afresh."""
+    n = data.draw(st.integers(5, 40), label="n")
+    s, t = 0, 1
+    g = random_graph(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    st3, st4 = STPath3Counter(g, s, t), STPath4Counter(g, s, t)
+    ops = st3.ops
+    for _ in range(data.draw(st.integers(1, 60), label="steps")):
+        e = _draw_step(data, g, s, t)
+        present = e is not None and not g.has_pair(e)
+        ops += _st3_charge(g, s, t, e)
+        st3.update(e, present)
+        st4.update(e, present)
+        if e is not None:
+            g.flip(*e)
+        assert (st3.query(), st3.ops) == (bf_st_paths(g, s, t, 3), ops), e
+        assert list(st4.sside.c) == list(TwoPathTable(g, s, t).c), e
+        assert list(st4.tside.c) == list(TwoPathTable(g, t, s).c), e
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_table_counters_match_the_walked_tables(data):

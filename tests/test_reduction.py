@@ -257,7 +257,8 @@ def test_sol_constant_rounds_stay_correct():
 
 def test_round_applies_what_round_sequences_returns():
     """Each copy's counter receives exactly the flips ``round_sequences``
-    returns for the generator state and difference vectors ``round`` sees."""
+    returns, as codes into ``interior_edges()``, for the generator state
+    and difference vectors ``round`` sees."""
     received = []
 
     class RecordingCounter:
@@ -275,10 +276,12 @@ def test_round_applies_what_round_sequences_returns():
     inst = random_oumv_instance(4, rng)
     u_prev, v_prev = inst.rounds[0]
     solver = ParityOuMvSolver(inst.M, u_prev, v_prev, 0.5, RecordingCounter, rng)
+    pairs = solver.layout.interior_edges()
     for u, v in inst.rounds[1:]:
         twin = copy.deepcopy(rng)
         dif = [*(u ^ u_prev), *(v ^ v_prev)]
-        expected = round_sequences(solver.layout, solver.lam_side, solver.lam_ab, dif, twin)
+        codes = round_sequences(solver.layout, solver.lam_side, solver.lam_ab, dif, twin)
+        expected = [[pairs[c] for c in seq] for seq in codes]
         for flips in received:
             flips.clear()
         solver.round(u, v)
@@ -291,7 +294,9 @@ def test_round_sequences_stream_contract():
     """A twin generator replays one round in stream version 3's order:
     the side counts ``poisson(lam_side, size=2n)`` with the wrong-parity
     entries redrawn in index order, then per copy ``poisson(lam_ab)`` and
-    ``integers(n, size=2z)``, then the three shuffles."""
+    ``integers(n, size=2z)``, then the three shuffles.  The twin builds
+    each sequence as a list of pairs and shuffles the list, so the codes
+    the solver shuffles as arrays must map to exactly its pairs."""
     n, p = 4, 0.5
     layout = P3Layout(n)
     lam_side, lam_ab = ChangeDistribution(p, n).poisson_rates(rounds_parameter(n, p))
@@ -316,7 +321,9 @@ def test_round_sequences_stream_contract():
                 expected[other] += batch
     for seq in expected:
         twin.shuffle(seq)
-    assert got == expected
+    assert all(seq.dtype == np.int64 and seq.ndim == 1 for seq in got)
+    pairs = layout.interior_edges()
+    assert [[pairs[c] for c in seq] for seq in got] == expected
     assert rng.bit_generator.state == twin.bit_generator.state
 
 

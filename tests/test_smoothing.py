@@ -22,6 +22,7 @@ from smoothdyn.smoothing import (
     StarFlipAdversary,
     UniformFlipAdversary,
     apply_event,
+    notify_and_flip,
     p_prime,
     run_sequence,
     smooth_initial,
@@ -443,6 +444,29 @@ class _RecordingObserver:
 
     def update(self, edge, now_present):
         self.calls.append((edge, now_present))
+
+
+def test_notify_and_flip_reads_each_flip_after_the_last():
+    """A repeated pair alternates ``now_present``, and a generator of the
+    pairs runs after each earlier flip has landed: it and every observer
+    see the graph as the earlier flips left it."""
+    g = DynamicGraph(4, [(0, 1)])
+    probe, obs = _PreFlipProbe(g), _RecordingObserver()
+    seen = []
+
+    def edges():
+        for e in [(0, 1)] * 5 + [(1, 2)] * 2:
+            seen.append(g.has_pair(e))
+            yield e
+
+    notify_and_flip(g, edges(), [probe, obs])
+    assert seen == [True, False, True, False, True, False, True]
+    assert obs.calls == [((0, 1), now) for now in (False, True, False, True, False)] + [
+        ((1, 2), True),
+        ((1, 2), False),
+    ]
+    assert probe.updates == 7
+    assert g.edge_set() == frozenset()
 
 
 def test_run_sequence_feeds_null_steps_as_updates():
