@@ -152,11 +152,6 @@ class DynamicGraph:
         """Edge {u, v} present, in either orientation; False off ``[0, n)``."""
         return 0 <= u < self.n and v in self._adj[u]
 
-    def has_pair(self, e: Pair) -> bool:
-        """:meth:`has` of ``e``, which need not be canonical."""
-        u, v = e
-        return 0 <= u < self.n and v in self._adj[u]
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 

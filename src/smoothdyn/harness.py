@@ -146,8 +146,9 @@ class ExperimentConfig:
         return self
 
 
-@dataclass
-class MetricRow:
+class MetricRow(NamedTuple):
+    """One CSV row; its fields, in order, are the CSV columns."""
+
     trial: int
     p: float
     n: int
@@ -158,19 +159,10 @@ class MetricRow:
     value: float
 
     def as_list(self) -> List:
-        return [
-            self.trial,
-            repr(float(self.p)),
-            self.n,
-            self.T,
-            self.problem,
-            self.model,
-            self.metric,
-            repr(float(self.value)),
-        ]
+        return list(self._replace(p=repr(float(self.p)), value=repr(float(self.value))))
 
 
-CSV_HEADER = ["trial", "p", "n", "T", "problem", "model", "metric", "value"]
+CSV_HEADER = list(MetricRow._fields)
 
 
 def write_metrics(rows: Sequence[MetricRow], fp: IO[str]) -> None:

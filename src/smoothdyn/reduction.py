@@ -89,7 +89,8 @@ def poisson_even_mass(lam: float) -> float:
 class P3Layout:
     """Node layout {s} + A + B + {t} with allowed edges sA, AB, Bt.
 
-    Node ids: s=0, A = 1..n, B = n+1..2n, t = 2n+1.
+    Node ids: s=0, A = 1..n, B = n+1..2n, t = 2n+1.  :meth:`interior_edges`
+    states the allowed pairs' order, which the seeded streams index.
     """
 
     n: int
@@ -106,35 +107,26 @@ class P3Layout:
     def t(self) -> int:
         return 2 * self.n + 1
 
-    def a(self, i: int) -> int:
-        return 1 + i
+    @property
+    def a_nodes(self) -> range:
+        return range(1, self.n + 1)
 
-    def b(self, j: int) -> int:
-        return self.n + 1 + j
-
-    def sa_edge(self, i: int) -> Pair:
-        return pair(self.s, self.a(i))
-
-    def bt_edge(self, j: int) -> Pair:
-        return pair(self.b(j), self.t)
-
-    def ab_edge(self, i: int, j: int) -> Pair:
-        return pair(self.a(i), self.b(j))
-
-    def side_edges(self) -> List[Pair]:
-        """The n sA edges, then the n Bt edges: the pairs of u's and v's entries."""
-        return [self.sa_edge(i) for i in range(self.n)] + [self.bt_edge(j) for j in range(self.n)]
+    @property
+    def b_nodes(self) -> range:
+        return range(self.n + 1, 2 * self.n + 1)
 
     def interior_edges(self) -> List[Pair]:
-        """The side edges, then ``ab_edge(i, j)`` at index 2n + i n + j."""
-        n = self.n
-        return self.side_edges() + [self.ab_edge(i, j) for i in range(n) for j in range(n)]
+        """The allowed pairs, in the order of u, v and M's entries: u's
+        entry i (s, a_i) at index i, v's entry j (b_j, t) at n + j, and M's
+        entry (i, j) (a_i, b_j) at 2n + i n + j."""
+        s, t, A, B = self.s, self.t, self.a_nodes, self.b_nodes
+        return [(s, a) for a in A] + [(b, t) for b in B] + [(a, b) for a in A for b in B]
 
     def graph_of(self, M: np.ndarray, u: np.ndarray, v: np.ndarray) -> DynamicGraph:
-        """Graph mirroring the matrix (AB) and the two vectors (sA / Bt)."""
-        n = self.n
-        edges = [e for e, bit in zip(self.side_edges(), np.concatenate([u, v])) if bit]
-        edges += [self.ab_edge(i, j) for i in range(n) for j in range(n) if M[i][j]]
+        """Graph mirroring the two vectors (sA / Bt) and the matrix (AB);
+        raises ValueError unless u and v have n entries and M n^2."""
+        bits = np.concatenate([u, v, np.ravel(M)])
+        edges = [e for e, bit in zip(self.interior_edges(), bits, strict=True) if bit]
         return DynamicGraph(self.n_nodes, edges)
 
 
@@ -274,11 +266,13 @@ def round_sequences(
     layout: P3Layout, lam_side: float, lam_ab: float, dif: Sequence[int], rng: np.random.Generator
 ) -> List[np.ndarray]:
     """The three copies' shuffled change sequences for one solver round,
-    each an int64 array of indices into ``layout.interior_edges()``.
+    each an int64 array of codes: indices into ``layout.interior_edges()``,
+    whose docstring states the index.
 
-    ``dif`` holds the round's 2n difference bits, u_dif then v_dif.  Every
-    copy gets Poisson(lam_side) changes of each side edge, of the parity
-    of its bit; copy j's Poisson(lam_ab) batch of uniform AB changes goes
+    ``dif`` holds the round's 2n difference bits, u_dif then v_dif, so bit
+    k's side pair has code k; an AB draw (i, j) gets M's entry (i, j)'s
+    code.  Every copy gets Poisson(lam_side) changes of each side edge, of
+    the parity of its bit; copy j's Poisson(lam_ab) batch of uniform AB changes goes
     to the other two copies.  Draws, in this order: the side counts
     (:func:`poisson_parity_conditional`, redraws included), then per copy
     its AB count ``poisson(lam_ab)`` and its 2z endpoints
@@ -487,20 +481,17 @@ class SixteenPack:
         p: float,
         rng: np.random.Generator,
     ):
-        n = layout.n
         self.layout = layout
         self.interior = interior.copy()
         self.interior_pairs = frozenset(layout.interior_edges())
         for e in self.interior.edges():
             if e not in self.interior_pairs:
                 raise ValueError(f"interior graph holds exterior edge {e}")
-        a_nodes = [layout.a(i) for i in range(n)]
-        b_nodes = [layout.b(j) for j in range(n)]
         self.type_edges: Dict[str, List[Pair]] = {
-            "sB": [pair(layout.s, b) for b in b_nodes],
-            "At": [pair(a, layout.t) for a in a_nodes],
-            "AA": [pair(x, y) for x, y in combinations(a_nodes, 2)],
-            "BB": [pair(x, y) for x, y in combinations(b_nodes, 2)],
+            "sB": [pair(layout.s, b) for b in layout.b_nodes],
+            "At": [pair(a, layout.t) for a in layout.a_nodes],
+            "AA": [pair(x, y) for x, y in combinations(layout.a_nodes, 2)],
+            "BB": [pair(x, y) for x, y in combinations(layout.b_nodes, 2)],
         }
         self.part: Dict[Pair, int] = {}
         for edges in self.type_edges.values():
@@ -508,7 +499,7 @@ class SixteenPack:
             self.part.update(zip(edges, coins.astype(int).tolist()))
         st_edge = pair(layout.s, layout.t)
         st_present = rng.random() < 0.5
-        self.alpha = float(alpha_of(p, n)[0])
+        self.alpha = float(alpha_of(p, layout.n)[0])
         # uniform_pairs indexes these rows: (s,t) first, then the types in order
         self.exterior_all = np.array([st_edge, *self.part], dtype=np.int64)
         self.graphs: List[DynamicGraph] = []
@@ -555,7 +546,7 @@ class SixteenPack:
         for i, g in enumerate(self.graphs):
             for l, name in enumerate(EXTERIOR_TYPES):
                 bit = (i >> l) & 1
-                if any(g.has_pair(e) != (self.part[e] == bit) for e in self.type_edges[name]):
+                if any(g.has(*e) != (self.part[e] == bit) for e in self.type_edges[name]):
                     raise InvariantError(f"graph {i} type {name}: partition part mismatch")
 
 

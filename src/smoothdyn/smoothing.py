@@ -220,7 +220,7 @@ def smooth_initial(
     edges = [
         e
         for e, k, r in zip(allowed, keep, resample)
-        if (h0.has_pair(e) if k else r)
+        if (h0.has(*e) if k else r)
     ]
     return DynamicGraph(h0.n, edges)
 
@@ -232,7 +232,8 @@ def apply_event(g: DynamicGraph, ev: ChangeEvent) -> Tuple[bool, bool]:
     toggles the edge, and the edge's membership after application.  Does
     not mutate the graph.
     """
-    present = g.has_pair(ev.edge)
+    u, v = ev.edge
+    present = v in g.neighbors(u)
     kind = ev.kind
     if kind is _FLIP:
         return True, not present

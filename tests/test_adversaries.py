@@ -44,12 +44,12 @@ def test_adaptive_embed_p1_exact_steps():
         region = region_around(range(6))
         flips = tuple(region[:4])
         task = EmbeddingTask(20, frozenset(region), flips, 1.0, 100)
-        before = {e: g.has_pair(e) for e in flips}
+        before = {e: g.has(*e) for e in flips}
         res = run_adaptive_embed(g, task, rng)
         assert res.success and res.steps_used == len(flips)
         assert res.random_hits_on_region == 0
         for e in flips:
-            assert g.has_pair(e) != before[e]
+            assert g.has(*e) != before[e]
 
 
 def test_adaptive_embed_realizes_exact_flip_set():
@@ -59,13 +59,13 @@ def test_adaptive_embed_realizes_exact_flip_set():
         g = random_graph(40, rng)
         region = region_around(range(7))
         flips = tuple(region[:5])
-        snapshot = {e: g.has_pair(e) for e in region}
+        snapshot = {e: g.has(*e) for e in region}
         task = EmbeddingTask(40, frozenset(region), flips, 0.6, 600)
         res = run_adaptive_embed(g, task, rng)
         if res.success:
             successes += 1
             for e in region:
-                assert (g.has_pair(e) != snapshot[e]) == (e in set(flips))
+                assert (g.has(*e) != snapshot[e]) == (e in set(flips))
     assert successes >= 55  # budget is generous; failures should be rare
 
 

@@ -116,7 +116,7 @@ def test_counters_track_oracles_under_random_flips(seed, n):
     pairs = list(all_pairs(n))
     for step in range(120):
         e = pairs[int(rng.integers(len(pairs)))]
-        present = not g.has_pair(e)
+        present = not g.has(*e)
         for counter, _ in counters.values():
             counter.update(e, present)
         two.update(e, present)
@@ -184,7 +184,7 @@ def test_two_path_table_matches_the_full_scan(data):
             e = pair(*data.draw(nodes))
         else:
             e = pair(s, data.draw(st.integers(1, n - 1)))
-        present = not g.has_pair(e)
+        present = not g.has(*e)
         moved_fast = fast.update(e, present)
         moved_scan = scan.update(e, present)
         g.flip(*e)
@@ -292,7 +292,7 @@ def _drive_pairs(data, make_pairs):
         assert (fast.ops, fast.query()) == (table.ops, table.query())
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         e = _draw_step(data, g, s, t)
-        present = e is not None and not g.has_pair(e)
+        present = e is not None and not g.has(*e)
         for fast, table in pairs:
             fast.update(e, present)
             table.update(e, present)
@@ -339,7 +339,7 @@ def test_st3_matches_brute_force_and_its_ops_formula(data):
     ops = st3.ops
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         e = _draw_step(data, g, s, t)
-        present = e is not None and not g.has_pair(e)
+        present = e is not None and not g.has(*e)
         ops += _st3_charge(g, s, t, e)
         st3.update(e, present)
         st4.update(e, present)
@@ -411,7 +411,7 @@ def test_each_flip_unpacks_its_row_once_for_every_table(data):
         for _ in range(data.draw(st.integers(1, 40), label="steps")):
             e = _draw_step(data, g, s, t)
             misses = _unpack.cache_info().misses
-            present = e is not None and not g.has_pair(e)
+            present = e is not None and not g.has(*e)
             for observer in observers:
                 observer.update(e, present)
             assert _unpack.cache_info().misses - misses <= 1, e
@@ -470,7 +470,7 @@ def test_worst_case_s_flips_stay_linear():
         v = 2 + step % (n - 2)
         e = pair(0, v)
         before = counter.ops
-        present = not g.has_pair(e)
+        present = not g.has(*e)
         counter.update(e, present)
         g.flip(*e)
         assert counter.ops - before <= 3 * n

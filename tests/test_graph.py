@@ -96,7 +96,6 @@ def test_flip_off_the_node_set_raises_and_changes_nothing(u, v):
     assert g.rows == rows and g.edge_set() == {(0, 1), (1, 2)}
     # membership off [0, n) reads False instead of shifting by a negative count
     assert not g.has(u, v) and not g.has(v, u)
-    assert not g.has_pair((u, v)) and not g.has_pair((v, u))
 
 
 def test_flip_add_remove():
@@ -125,13 +124,10 @@ def test_flip_involution_and_degrees(n, data):
         for u in range(n):
             for v in range(n):
                 if u != v:
-                    assert (
-                        g.has(u, v) == g.has(v, u) == g.has_pair((u, v)) == (pair(u, v) in present)
-                    )
+                    assert g.has(u, v) == g.has(v, u) == (pair(u, v) in present)
             # nodes outside [0, n), negative ones included, are never adjacent
             for w in (-1, n):
                 assert not g.has(u, w) and not g.has(w, u)
-                assert not g.has_pair((u, w)) and not g.has_pair((w, u))
 
     ops = data.draw(st.lists(st.sampled_from(list(all_pairs(n))), max_size=40))
     for e in ops + ops[::-1]:

@@ -102,6 +102,13 @@ def test_layout_roles_and_edges():
     assert (0, 7) not in interior  # the (s,t) pair
     assert (1, 2) not in interior  # AA
     assert len(interior) == len(lay.interior_edges()) == 3 * (3 + 2)
+    assert list(lay.a_nodes) == [1, 2, 3] and list(lay.b_nodes) == [4, 5, 6]
+    # the index the seeded streams rely on: u's entry i at i, v's entry j
+    # at n + j, M's entry (i, j) at 2n + i n + j
+    edges = lay.interior_edges()
+    assert edges[:3] == [(0, 1), (0, 2), (0, 3)]
+    assert edges[3:6] == [(4, 7), (5, 7), (6, 7)]
+    assert all(edges[6 + 3 * i + j] == (1 + i, 4 + j) for i in range(3) for j in range(3))
 
 
 def test_layout_graph_of_matches_oracle():
@@ -113,6 +120,10 @@ def test_layout_graph_of_matches_oracle():
     g = lay.graph_of(M, u, v)
     assert g.edge_count() == 1 + 2 + 3
     assert bf_st_paths(g, lay.s, lay.t, 3) == 2 == int_oumv_oracle(M, u, v)
+    # a matrix of the wrong size is neither cropped nor read past its end
+    for wrong in (np.ones((4, 4), dtype=np.uint8), np.ones((2, 2), dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            lay.graph_of(wrong, u, v)
 
 
 @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
@@ -240,7 +251,7 @@ def test_sol_matrices_xor_to_m():
         solver.round(u, v)
         for i in range(4):
             for j in range(4):
-                bits = sum(g.has_pair(lay.ab_edge(i, j)) for g in solver.graphs)
+                bits = sum(g.has(lay.a_nodes[i], lay.b_nodes[j]) for g in solver.graphs)
                 assert bits % 2 == int(inst.M[i, j])
 
 
@@ -311,11 +322,13 @@ def test_round_sequences_stream_contract():
         for i, z in zip(wrong, twin.poisson(lam_side, size=len(wrong)).tolist()):
             counts[i] = z
         wrong = [i for i in wrong if counts[i] % 2 != dif[i]]
-    shared = [e for e, count in zip(layout.side_edges(), counts) for _ in range(count)]
+    s, t, A, B = layout.s, layout.t, layout.a_nodes, layout.b_nodes
+    side = [(s, A[i]) for i in range(n)] + [(B[j], t) for j in range(n)]  # u's, then v's entries
+    shared = [e for e, count in zip(side, counts) for _ in range(count)]
     expected = [list(shared) for _ in range(3)]
     for j in range(3):
         ends = twin.integers(n, size=2 * int(twin.poisson(lam_ab))).tolist()
-        batch = [layout.ab_edge(i, k) for i, k in zip(ends[::2], ends[1::2])]
+        batch = [(A[i], B[k]) for i, k in zip(ends[::2], ends[1::2])]
         for other in range(3):
             if other != j:
                 expected[other] += batch
@@ -443,7 +456,7 @@ def test_sixteen_pack_part_bits_hold_after_any_steps(n, seed, script):
         for i, g in enumerate(pack.graphs):
             for l, name in enumerate(EXTERIOR_TYPES):
                 for e in pack.type_edges[name]:
-                    assert g.has_pair(e) == (pack.part[e] == (i >> l) & 1)
+                    assert g.has(*e) == (pack.part[e] == (i >> l) & 1)
 
 
 def test_run_p3_to_general():

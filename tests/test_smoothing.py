@@ -80,7 +80,7 @@ def _smooth_initial_by_zip(h0, params, rng):
         allowed = list(all_pairs(h0.n))
     keep = rng.random(len(allowed)) < params.p
     resample = rng.random(len(allowed)) < 0.5
-    return {e for e, k, r in zip(allowed, keep, resample) if (h0.has_pair(e) if k else r)}
+    return {e for e, k, r in zip(allowed, keep, resample) if (h0.has(*e) if k else r)}
 
 
 @pytest.mark.parametrize(
@@ -404,7 +404,7 @@ class _PreFlipProbe:
         if e is None:
             assert not now_present  # a null step
         else:
-            assert self.g.has_pair(e) != now_present
+            assert self.g.has(*e) != now_present
         self.updates += 1
 
 
@@ -456,7 +456,7 @@ def test_notify_and_flip_reads_each_flip_after_the_last():
 
     def edges():
         for e in [(0, 1)] * 5 + [(1, 2)] * 2:
-            seen.append(g.has_pair(e))
+            seen.append(g.has(*e))
             yield e
 
     notify_and_flip(g, edges(), [probe, obs])
