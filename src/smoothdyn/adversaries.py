@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .graph import DynamicGraph, Pair, pair
 from .smoothing import (
-    Kind,
     Model,
     Provenance,
     ScriptedFlipAdversary,
@@ -36,7 +35,7 @@ from .smoothing import (
 
 # Members read once per step, bound here: a module global reads several
 # times faster than an Enum member lookup.
-_ADD, _RANDOM, _ADVERSARIAL = Kind.ADD, Provenance.RANDOM, Provenance.ADVERSARIAL
+_RANDOM, _ADVERSARIAL = Provenance.RANDOM, Provenance.ADVERSARIAL
 
 
 class InfeasibleTaskError(ValueError):
@@ -52,10 +51,13 @@ class EmbeddingTask:
     budget: int  # step budget l
 
     def __post_init__(self):
-        region = frozenset(pair(u, v) for u, v in self.region)
+        listed = [pair(u, v) for u, v in self.region]
+        region = frozenset(listed)
         flips = tuple(pair(u, v) for u, v in self.flips)
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "flips", flips)
+        if len(region) != len(listed):
+            raise InfeasibleTaskError("duplicate pairs in R")
         if not set(flips) <= region:
             raise InfeasibleTaskError("flip set must lie inside the region")
         if len(set(flips)) != len(flips):
@@ -197,49 +199,36 @@ def multiphase_embed(
     return MultiphaseResult(success, per_phase, total, budget, success and total <= budget)
 
 
-def run_oblivious_ar_embed(
-    n: int,
-    region: Sequence[Pair],
-    flips: Sequence[Pair],
-    p: float,
-    budget: int,
-    rng: np.random.Generator,
-) -> EmbedResult:
+def run_oblivious_ar_embed(task: EmbeddingTask, rng: np.random.Generator) -> EmbedResult:
     """Oblivious add/remove embedding of R' inside R on :class:`SmoothedSource`.
 
-    The adversary knows the intended pre-state of every R' edge and at
-    step i proposes the idempotent Add/Remove toward R'[i mod r']'s
+    One start bit is drawn per pair of R, and R' takes the first r' bits,
+    in its own order, as its pairs' intended pre-states.  At step i the
+    adversary proposes the idempotent Add/Remove toward R'[i mod r']'s
     flipped target; it gets no feedback, not even the coins.  Success is
     measured post hoc as (G xor G_start) intersected with R equal to R'
-    exactly.  Only the region's edge states are tracked; flips outside R
-    cannot affect the outcome.  A bad R', or a region that names a pair
-    twice, raises :class:`InfeasibleTaskError` before any draw.
+    exactly, so only which region pairs changed is tracked: a kept move
+    marks its pair changed, and a random flip inside R toggles the mark.
+    The task need not meet the proviso r <= p n^2 / 18; an empty R'
+    raises :class:`InfeasibleTaskError` before any draw.
     """
-    flip_list = EmbeddingTask(n, region, flips, p, budget).flips  # R' in R, no repeats
-    if not flip_list:
+    flips = task.flips
+    if not flips:
         raise InfeasibleTaskError("the oblivious embedding needs a nonempty R'")
-    region_pairs = [pair(u, v) for u, v in region]
-    if len(set(region_pairs)) != len(region_pairs):
-        # one start bit is drawn per listed pair, so a repeat would draw twice
-        raise InfeasibleTaskError("duplicate pairs in R")
-    bits = rng.random(len(region_pairs)) < 0.5
-    start = {e: bool(b) for e, b in zip(region_pairs, bits)}
-    state = dict(start)
-    moves = ScriptedFlipAdversary(flip_list, [not start[e] for e in flip_list])  # Add iff absent
-    source = SmoothedSource(Model.OBLIVIOUS_AR, SmoothingParams(p), moves, n, rng=rng)
+    start = rng.random(len(task.region)) < 0.5
+    moves = ScriptedFlipAdversary(flips, ~start[: len(flips)])  # Add iff absent
+    source = SmoothedSource(Model.OBLIVIOUS_AR, SmoothingParams(task.p), moves, task.n, rng=rng)
+    region = task.region
+    changed = set()
     hits = 0
-    for _ in range(budget):
-        e, kind, provenance = source.next_change()
+    for _ in range(task.budget):
+        e, _, provenance = source.next_change()
         if provenance is _ADVERSARIAL:
-            state[e] = kind is _ADD
-        elif e in state:
-            state[e] = not state[e]
+            changed.add(e)
+        elif e in region:
+            changed ^= {e}
             hits += 1
-    flip_set = set(flip_list)
-    success = all(
-        (state[e] != start[e]) == (e in flip_set) for e in region_pairs
-    )
-    return EmbedResult(success, budget, hits)
+    return EmbedResult(changed == set(flips), task.budget, hits)
 
 
 def oblivious_ar_failure_bound(r_prime: int, r: int, n: int, q: float, budget: int) -> float:

@@ -311,6 +311,7 @@ class ParityOuMvSolver:
         counter_factory: Callable[[DynamicGraph, int, int], object],
         rng: np.random.Generator,
     ):
+        M, u0, v0 = (np.asarray(x, dtype=np.uint8) % 2 for x in (M, u0, v0))
         n = len(u0)
         self.rng = rng
         self.layout = P3Layout(n)
@@ -321,8 +322,7 @@ class ParityOuMvSolver:
         self.counters = [
             counter_factory(g, self.layout.s, self.layout.t) for g in self.graphs
         ]
-        self.u_prev = np.asarray(u0, dtype=np.uint8) % 2
-        self.v_prev = np.asarray(v0, dtype=np.uint8) % 2
+        self.u_prev, self.v_prev = u0, v0
 
     def initial_answer(self) -> int:
         return self.counters[0].query() % 2

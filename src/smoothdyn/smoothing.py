@@ -72,6 +72,8 @@ class SmoothingParams:
             object.__setattr__(self, "restriction", tuple(pair(u, v) for u, v in self.restriction))
             if not self.restriction:
                 raise ValueError("restriction, when present, must be nonempty")
+            if len(set(self.restriction)) != len(self.restriction):
+                raise ValueError("restriction names a pair twice; it would be drawn twice as often")
 
 
 class ContractViolation(RuntimeError):

@@ -119,17 +119,17 @@ def test_c04_adaptive_embedding():
     flips = tuple(sorted(region)[:r_prime])
     bound = 2.0 * math.exp(-p * budget / 40.0)
     rng = trial_stream(104, 0)
+    task = EmbeddingTask(n, region, flips, p, budget)
+    exact_task = EmbeddingTask(n, region, flips, 1.0, budget)
     failures = 0
     for _ in range(trials):
         g = random_graph(n, rng)
-        task = EmbeddingTask(n, region, flips, p, budget)
         failures += not run_adaptive_embed(g, task, rng).success
     rate = failures / trials
     exact_ok = True
     for _ in range(trials):
         g = random_graph(n, rng)
-        task = EmbeddingTask(n, region, flips, 1.0, budget)
-        res = run_adaptive_embed(g, task, rng)
+        res = run_adaptive_embed(g, exact_task, rng)
         exact_ok = exact_ok and res.success and res.steps_used == r_prime
     elapsed = time.perf_counter() - start
     report(
@@ -150,11 +150,9 @@ def test_c05_oblivious_ar_embedding():
     bound = oblivious_ar_failure_bound(r_prime, r, n, q, budget)
     # P(>= 1 region hit): uniform replacements draw from C(n,2) pairs, not n^2
     hit_prediction = 1.0 - math.exp(-q * budget * r / math.comb(n, 2))
+    task = EmbeddingTask(n, region, tuple(flips), p, budget)
     rng = trial_stream(105, 0)
-    failures = sum(
-        not run_oblivious_ar_embed(n, region, flips, p, budget, rng).success
-        for _ in range(trials)
-    )
+    failures = sum(not run_oblivious_ar_embed(task, rng).success for _ in range(trials))
     rate = failures / trials
     elapsed = time.perf_counter() - start
     report(

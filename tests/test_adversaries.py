@@ -27,6 +27,8 @@ def test_task_validation():
         EmbeddingTask(10, frozenset({(0, 1)}), ((2, 3),), 0.5, 10)
     with pytest.raises(InfeasibleTaskError):
         EmbeddingTask(10, frozenset({(0, 1)}), ((0, 1), (1, 0)), 0.5, 10)
+    with pytest.raises(InfeasibleTaskError, match="duplicate pairs in R"):
+        EmbeddingTask(10, frozenset({(0, 1), (1, 0)}), ((0, 1),), 0.5, 10)
     task = EmbeddingTask(30, frozenset({(1, 0)}), ((0, 1),), 0.5, 10)
     assert task.flips == ((0, 1),)
     assert task.feasible
@@ -126,8 +128,8 @@ def test_oblivious_ar_embed_q0_single_pass():
     # q=0: one pass over the targets suffices, state matches exactly
     rng = trial_stream(6, 0)
     region = region_around(range(6))
-    flips = region[:4]
-    res = run_oblivious_ar_embed(50, region, flips, 1.0, len(flips), rng)
+    flips = tuple(region[:4])
+    res = run_oblivious_ar_embed(EmbeddingTask(50, frozenset(region), flips, 1.0, len(flips)), rng)
     assert res.success and res.random_hits_on_region == 0
 
 
@@ -135,11 +137,10 @@ def test_oblivious_ar_embed_tight_budget_fails_often():
     # budget l = r' leaves no slack: any kept-coin miss or region hit kills it
     rng = trial_stream(7, 0)
     region = region_around(range(8))
-    flips = region[:8]
-    failures = sum(
-        not run_oblivious_ar_embed(30, region, flips, 0.5, len(flips), rng).success
-        for _ in range(200)
-    )
+    flips = tuple(region[:8])
+    task = EmbeddingTask(30, frozenset(region), flips, 0.5, len(flips))
+    assert not task.feasible  # the oblivious runner does not require the proviso
+    failures = sum(not run_oblivious_ar_embed(task, rng).success for _ in range(200))
     assert failures >= 150
 
 
@@ -147,28 +148,30 @@ def test_oblivious_ar_embed_initial_state_and_region_isolation():
     rng = trial_stream(8, 0)
     region = region_around(range(4))
     # at p = 1 every proposal is kept, so the run succeeds from any start
-    res = run_oblivious_ar_embed(100, region, region[:2], 1.0, 10, rng)
+    task = EmbeddingTask(100, frozenset(region), tuple(region[:2]), 1.0, 10)
+    res = run_oblivious_ar_embed(task, rng)
     assert res.success
 
 
 @pytest.mark.parametrize("flips", [[], [(0, 9)], [(0, 1), (1, 0)]])
 def test_oblivious_ar_embed_rejects_a_bad_flip_set_before_any_draw(flips):
-    """An empty R', a pair outside R and a repeated pair are rejected as
-    ``EmbeddingTask`` rejects them, and the generator does not move."""
+    """A pair outside R and a repeated pair are rejected by ``EmbeddingTask``,
+    an empty R' by the runner, and the generator does not move."""
     rng = trial_stream(9, 0)
     state = rng.bit_generator.state
+    region = frozenset(region_around(range(4)))
     with pytest.raises(InfeasibleTaskError):
-        run_oblivious_ar_embed(20, region_around(range(4)), flips, 0.5, 10, rng)
+        run_oblivious_ar_embed(EmbeddingTask(20, region, tuple(flips), 0.5, 10), rng)
     assert rng.bit_generator.state == state
 
 
 def test_oblivious_ar_embed_rejects_a_repeated_region_pair_before_any_draw():
-    """A region that lists a pair twice, in either orientation, would draw
-    a start bit per copy; it is rejected and the generator does not move."""
+    """A region that lists a pair twice, in either orientation, is rejected
+    by ``EmbeddingTask``, for both strategies, and the generator does not move."""
     rng = trial_stream(9, 0)
     state = rng.bit_generator.state
     with pytest.raises(InfeasibleTaskError, match="duplicate pairs in R"):
-        run_oblivious_ar_embed(10, [(0, 1), (1, 0), (0, 2)], [(0, 1)], 1.0, 5, rng)
+        run_oblivious_ar_embed(EmbeddingTask(10, [(0, 1), (1, 0), (0, 2)], ((0, 1),), 1.0, 5), rng)
     assert rng.bit_generator.state == state
 
 
@@ -243,15 +246,32 @@ def test_embeddings_hand_back_the_generator_as_plain_draws_would(trial):
     assert run_adaptive_embed(g, task, rng) == _reference_adaptive_embed(h, task, twin)
     assert g.edge_set() == h.edge_set()
     assert rng.bit_generator.state == twin.bit_generator.state
-    got = run_oblivious_ar_embed(n, region, flips, 0.6, 30, rng)
+    got = run_oblivious_ar_embed(EmbeddingTask(n, frozenset(region), tuple(flips), 0.6, 30), rng)
     assert got == _reference_oblivious_ar_embed(n, region, flips, 0.6, 30, twin)
     assert rng.bit_generator.state == twin.bit_generator.state
     assert rng.integers(435) == twin.integers(435)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_oblivious_ar_embed_matches_the_reference_for_a_non_prefix_flip_set(seed):
+    """R' = R[3::2] takes the first r' start bits, where the reference
+    gives each pair its bit at its place in R: success never reads a
+    start bit, so the result and the generator state still agree."""
+    n = 30
+    region = sorted(region_around(range(8)))
+    flips = region[3::2]
+    task = EmbeddingTask(n, frozenset(region), tuple(flips), 0.7, 25 + 10 * seed)
+    rng, twin = trial_stream(13, seed), trial_stream(13, seed)
+    got = run_oblivious_ar_embed(task, rng)
+    assert got == _reference_oblivious_ar_embed(n, region, flips, 0.7, task.budget, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_oblivious_ar_embed_proposals_follow_the_step_index(monkeypatch):
     """Every adversarial event at step i is the move of flips[i mod r'] toward
-    its target, whatever the coins were: the adversary gets no feedback."""
+    its target, whatever the coins were: the adversary gets no feedback.
+    R' takes the first r' start bits, in the order it lists its pairs,
+    whether or not it is a prefix of R."""
     events = []
     next_change = SmoothedSource.next_change
 
@@ -261,16 +281,18 @@ def test_oblivious_ar_embed_proposals_follow_the_step_index(monkeypatch):
 
     monkeypatch.setattr(SmoothedSource, "next_change", recording)
     n, region = 30, sorted(region_around(range(6)))
-    flips = [(b, a) for a, b in region[:4]]  # given uncanonical
-    rng, twin = trial_stream(12, 0), trial_stream(12, 0)
-    start = dict(zip(region, twin.random(len(region)) < 0.5))
-    run_oblivious_ar_embed(n, region, flips, 0.5, 40, rng)
-    kept = [(i, ev) for i, ev in enumerate(events) if ev.provenance is Provenance.ADVERSARIAL]
-    assert len(events) == 40 and 0 < len(kept) < 40
-    for i, ev in kept:
-        e = pair(*flips[i % len(flips)])
-        assert ev.edge == e
-        assert ev.kind is (Kind.REMOVE if start[e] else Kind.ADD)
+    for flips in (region[:4], region[5::3]):
+        flips = [(b, a) for a, b in flips]  # given uncanonical
+        events.clear()
+        rng, twin = trial_stream(12, 0), trial_stream(12, 0)
+        start = dict(zip((pair(*e) for e in flips), twin.random(len(region)) < 0.5))
+        run_oblivious_ar_embed(EmbeddingTask(n, frozenset(region), tuple(flips), 0.5, 40), rng)
+        kept = [(i, ev) for i, ev in enumerate(events) if ev.provenance is Provenance.ADVERSARIAL]
+        assert len(events) == 40 and 0 < len(kept) < 40
+        for i, ev in kept:
+            e = pair(*flips[i % len(flips)])
+            assert ev.edge == e
+            assert ev.kind is (Kind.REMOVE if start[e] else Kind.ADD)
 
 
 def test_failure_bound_values():

@@ -44,6 +44,8 @@ def test_st3_frozen():
     # complete P3-partite with |A| = |B| = 2: s=0, A={1,2}, B={3,4}, t=5
     edges = [(0, 1), (0, 2)] + [pair(a, b) for a in (1, 2) for b in (3, 4)] + [(3, 5), (4, 5)]
     assert STPath3Counter(DynamicGraph(6, edges), 0, 5).query() == 4
+    with pytest.raises(ValueError, match="differ"):
+        STPath3Counter(DynamicGraph(5), 2, 2)
 
 
 def test_st4_frozen():
@@ -52,6 +54,8 @@ def test_st4_frozen():
     degenerate = DynamicGraph(4, [(0, 2), (2, 3), (2, 1)])
     assert STPath4Counter(degenerate, 0, 1).query() == 0
     assert STPath4Counter(DynamicGraph(4), 0, 1).query() == 0
+    with pytest.raises(ValueError, match="differ"):
+        STPath4Counter(DynamicGraph(4), 3, 3)
 
 
 def test_striangle_frozen():

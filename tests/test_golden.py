@@ -187,7 +187,7 @@ def oblivious_ar_embed_output() -> str:
     out = []
     for trial, (p, budget) in enumerate([(0.5, 60), (0.5, 60), (0.9, 30), (0.9, 30)]):
         rng = trial_stream(SEED, trial)
-        res = run_oblivious_ar_embed(n, region, region[:5], p, budget, rng)
+        res = run_oblivious_ar_embed(EmbeddingTask(n, region, tuple(region[:5]), p, budget), rng)
         out.append((res.success, res.steps_used, res.random_hits_on_region))
     return repr(out)
 

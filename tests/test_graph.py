@@ -70,6 +70,8 @@ def test_path_degrees():
 
 
 def test_construction_errors():
+    with pytest.raises(GraphError, match="nonnegative"):
+        DynamicGraph(-1)
     with pytest.raises(GraphError, match="duplicate"):
         DynamicGraph(3, [(0, 1), (1, 0)])  # duplicate after canonicalization
     with pytest.raises(GraphError, match="out of range"):

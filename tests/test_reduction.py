@@ -16,6 +16,7 @@ from smoothdyn.reduction import (
     ChangeDistribution,
     ExactST3Counter,
     InvariantError,
+    OuMvInstance,
     P3Layout,
     ParityOuMvSolver,
     ParitySamplingError,
@@ -162,6 +163,10 @@ def test_f2_oracle_frozen():
             oracle(M, [1, 0, 0], [1, 0])
         with pytest.raises(ValueError, match="dimension mismatch"):
             oracle(M, [1, 0], [1, 0, 0])
+    with pytest.raises(ValueError, match="M dimension mismatch"):
+        OuMvInstance(2, [[1, 0, 1], [1, 1, 0]], [([1, 0], [1, 0])] * 3)
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        OuMvInstance(2, M, [([1, 0], [1, 0]), ([1, 0], [1, 0, 0]), ([1, 0], [1, 0])])
 
 
 def write_oumv_instance(inst, fp) -> None:
@@ -253,6 +258,16 @@ def test_sol_matrices_xor_to_m():
             for j in range(4):
                 bits = sum(g.has(lay.a_nodes[i], lay.b_nodes[j]) for g in solver.graphs)
                 assert bits % 2 == int(inst.M[i, j])
+
+
+def test_solver_reads_its_initial_input_mod_2():
+    # an entry 2 is a 0 over F2: no graph copy may hold its edge
+    M = np.zeros((3, 3), dtype=np.int64)
+    M[0, 0] = 2
+    e1 = np.array([1, 0, 0])
+    solver = ParityOuMvSolver(M, e1, e1, 0.5, ExactST3Counter, trial_stream(8, 1))
+    assert solver.initial_answer() == f2_oumv_oracle(M, e1, e1) == 0
+    assert solver.round(2 * e1, e1) == f2_oumv_oracle(M, 2 * e1, e1) == 0
 
 
 def test_sol_constant_rounds_stay_correct():

@@ -41,6 +41,8 @@ def test_params_validation():
     assert SmoothingParams(0.5, restriction=((1, 0), (2, 0))).restriction == ((0, 1), (0, 2))
     with pytest.raises(ValueError):
         SmoothingParams(0.5, restriction=((1, 1),))
+    with pytest.raises(ValueError, match="twice"):
+        SmoothingParams(0.0, restriction=((0, 1), (1, 0), (2, 3)))
 
 
 def test_smooth_initial_p1_identity():
@@ -158,6 +160,8 @@ def test_restriction_contract_violation():
     source = SmoothedSource(Model.OBLIVIOUS_FLIP, params, adv, 4, rng=smoothing_stream(0))
     with pytest.raises(ContractViolation):
         source.next_change()
+    with pytest.raises(ValueError, match="violates the restriction"):
+        smooth_initial(DynamicGraph(4, [(0, 1), (2, 3)]), params, smoothing_stream(0))
 
 
 def test_restriction_pairs_out_of_range_rejected():
@@ -317,6 +321,8 @@ def test_proposal_outside_restriction_raises_at_its_step():
         Model.ADAPTIVE, params, UniformFlipAdversary(4, adversary_stream(2)), 4,
         rng=smoothing_stream(2),
     )
+    with pytest.raises(ValueError, match="requires the realized graph"):
+        adaptive.next_change()
     with pytest.raises(ContractViolation, match="outside the allowed set"):
         for _ in range(100):
             adaptive.next_change(DynamicGraph(4))
