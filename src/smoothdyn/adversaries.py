@@ -51,6 +51,10 @@ class EmbeddingTask:
     budget: int  # step budget l
 
     def __post_init__(self):
+        if not 0.0 <= self.p <= 1.0:
+            raise InfeasibleTaskError(f"p={self.p} outside [0,1]")
+        if self.budget < 0:
+            raise InfeasibleTaskError(f"negative step budget {self.budget}")
         listed = [pair(u, v) for u, v in self.region]
         region = frozenset(listed)
         flips = tuple(pair(u, v) for u, v in self.flips)
@@ -58,6 +62,8 @@ class EmbeddingTask:
         object.__setattr__(self, "flips", flips)
         if len(region) != len(listed):
             raise InfeasibleTaskError("duplicate pairs in R")
+        if listed and max(v for _, v in listed) >= self.n:  # canonical: v is the larger node
+            raise InfeasibleTaskError(f"a pair of R names a node outside [0, {self.n})")
         if not set(flips) <= region:
             raise InfeasibleTaskError("flip set must lie inside the region")
         if len(set(flips)) != len(flips):

@@ -7,7 +7,16 @@ reads the pre-flip graph and is told the post-flip presence bit
 None`` are null steps and cost O(1); ``run_sequence`` delivers each
 ineffective add/remove event as ``update(None, False)``.
 
-A single membership is read from an adjacency set.  The O(n) work of an
+Each counter binds, once at construction, the graph's live state that
+its updates read (:class:`~smoothdyn.graph.DynamicGraph` changes it in
+place and never replaces it): st3 holds the ``rows`` list, N(s) and
+N(t); s-triangle and every ``TwoPathTable`` hold ``rows`` and N(s); st4
+holds ``rows`` and its two tables' N(s) and N(t); s-4-cycle reads the
+graph only through its table.  An update reads a membership of N(s) or
+N(t) as ``x in ns`` and a degree as ``rows[v].bit_count()``; only a
+table's walk over a short row asks the graph for that row's set.
+
+The O(n) work of an
 s- or t-edge update runs word-parallel on the graph's bit rows
 (``DynamicGraph.rows``).  st3 and s-triangle keep no table: each flip
 moves their count by at most one intersection of pre-flip
@@ -85,17 +94,19 @@ class TwoPathTable:
     ``rows[v]`` without s.  Every write to c costs one more op.
     """
 
-    __slots__ = ("g", "s", "t_excluded", "c", "_vec", "ops")
+    __slots__ = ("g", "s", "t_excluded", "rows", "ns", "c", "_vec", "ops")
 
     def __init__(self, g: DynamicGraph, s: int, t_excluded: Optional[int] = None):
         self.g = g
         self.s = s
         self.t_excluded = t_excluded
+        self.rows = rows = g.rows  # live: flips change the rows and N(s) in place
+        self.ns = g.neighbors(s)
         n, size = g.n, (g.n + 7) // 8
-        mids = g.neighbors(s) - {t_excluded}
+        mids = self.ns - {t_excluded}
         # every middle v is adjacent to s, so it adds |N(v)| - 1 counts
-        self.ops = sum(g.degree(v) - 1 for v in mids)
-        packed = b"".join(g.rows[v].to_bytes(size, "little") for v in mids)
+        self.ops = sum(rows[v].bit_count() - 1 for v in mids)
+        packed = b"".join(rows[v].to_bytes(size, "little") for v in mids)
         matrix = np.frombuffer(packed, dtype=np.uint8).reshape(len(mids), size)
         bits = np.unpackbits(matrix, axis=1, count=n, bitorder="little")
         counts = bits.sum(axis=0, dtype=np.int64)
@@ -112,18 +123,17 @@ class TwoPathTable:
     def _move(self, v: int, delta: int) -> int:
         """Add delta to c[u] for every neighbour u of v but s; return them as a mask."""
         g, s = self.g, self.s
-        row = g.rows[v]
-        nbrs = g.neighbors(v)
-        if len(nbrs) > _WALK_MAX:
+        row = self.rows[v]
+        if row.bit_count() > _WALK_MAX:
             if delta > 0:
                 self._vec += _unpack(row, g.n)
             else:
                 self._vec -= _unpack(row, g.n)
         else:
             c = self.c
-            for u in nbrs:
+            for u in g.neighbors(v):
                 c[u] += delta
-        if s in nbrs:
+        if v in self.ns:  # s in N(v)
             self.c[s] -= delta  # c[s] stays 0
             return row ^ (1 << s)
         return row
@@ -133,7 +143,7 @@ class TwoPathTable:
         g, c = self.g, self.c
         nbrs = g.neighbors(x)
         if len(nbrs) > _WALK_MAX:
-            total = int(self._vec.dot(_unpack(g.rows[x], g.n)))
+            total = int(self._vec.dot(_unpack(self.rows[x], g.n)))
         else:
             total = sum(map(c.__getitem__, nbrs))
         for u in skip:
@@ -145,21 +155,21 @@ class TwoPathTable:
         if e is None:
             return 0
         a, b = e
-        s, t, g = self.s, self.t_excluded, self.g
+        s, t = self.s, self.t_excluded
         delta = 1 if now_present else -1
         if a == s or b == s:
             v = b if a == s else a
             if v == t:
                 return 0  # the excluded edge never carries a counted 2-path
             moved = self._move(v, delta)
-            self.ops += g.n + moved.bit_count()
+            self.ops += self.g.n + moved.bit_count()
             return moved
         # a non-excluded middle joined to s moves the other endpoint
-        c, moved = self.c, 0
-        if a != t and g.has(s, a):
+        c, ns, moved = self.c, self.ns, 0
+        if a != t and a in ns:
             c[b] += delta
             moved |= 1 << b
-        if b != t and g.has(s, b):
+        if b != t and b in ns:
             c[a] += delta
             moved |= 1 << a
         self.ops += 2 + moved.bit_count()
@@ -180,32 +190,35 @@ class STPath3Counter:
         self.g = g
         self.s = s
         self.t = t
-        rows = g.rows
-        mids = g.neighbors(s) - {t}
-        self.ops = sum(g.degree(v) - 1 for v in mids)
-        self.c = sum((rows[t] & rows[v]).bit_count() for v in mids) - len(mids) * g.has(s, t)
+        self.rows = rows = g.rows  # live: flips change the rows, N(s) and N(t) in place
+        self.ns = ns = g.neighbors(s)
+        self.nt = g.neighbors(t)
+        mids = ns - {t}
+        self.ops = sum(rows[v].bit_count() - 1 for v in mids)
+        self.c = sum((rows[t] & rows[v]).bit_count() for v in mids) - len(mids) * (t in ns)
 
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         if e is None:
             return
-        s, t, g = self.s, self.t, self.g
+        s, t, ns = self.s, self.t, self.ns  # the interior branch needs no row
         a, b = e
         delta = 1 if now_present else -1
-        ns = g.neighbors(s)  # every branch reads N(s); N(t) only where needed
         if a == s or b == s:
             v = b if a == s else a
             if v == t:
                 return  # the (s,t) edge lies on no s-t 3-path
-            self.c += delta * ((g.rows[t] & g.rows[v]).bit_count() - (t in ns and v in ns))
-            self.ops += g.n + 2 * (g.degree(v) - (v in ns))
+            rows = self.rows
+            self.c += delta * ((rows[t] & rows[v]).bit_count() - (t in ns and v in ns))
+            self.ops += self.g.n + 2 * (rows[v].bit_count() - (v in ns))
         elif a == t or b == t:
             x = b if a == t else a
-            self.c += delta * ((g.rows[s] & g.rows[x]).bit_count() - (t in ns and x in g.neighbors(t)))
+            rows = self.rows
+            self.c += delta * ((rows[s] & rows[x]).bit_count() - (t in ns and x in self.nt))
             self.ops += 3 + (x in ns)
         else:
             sa, sb = a in ns, b in ns
             if sa or sb:  # otherwise no 3-path (s, a, b, t) or (s, b, a, t) can form
-                nt = g.neighbors(t)
+                nt = self.nt
                 self.c += delta * ((sa and b in nt) + (sb and a in nt))
             self.ops += 2 + 2 * (sa + sb)
 
@@ -230,12 +243,13 @@ class STPath4Counter:
         self.t = t
         self.sside = TwoPathTable(g, s, t)
         self.tside = TwoPathTable(g, t, s)
+        self.rows, self.ns, self.nt = g.rows, self.sside.ns, self.tside.ns
         self._ops = 0
         c = sum(a * b for a, b in zip(self.sside.c, self.tside.c))
-        for v in g.neighbors(s):
-            if v != t and g.has(v, t):
+        for v in self.ns:
+            if v != t and v in self.nt:
                 # walks (s,v,u,v,t): one per neighbor u of v besides s and t
-                c -= g.degree(v) - 2
+                c -= self.rows[v].bit_count() - 2
         self.c = c
 
     @property
@@ -245,7 +259,7 @@ class STPath4Counter:
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         if e is None:
             return
-        s, t, g = self.s, self.t, self.g
+        s, t, ns, nt = self.s, self.t, self.ns, self.nt
         a, b = e
         in_s = a == s or b == s
         in_t = a == t or b == t
@@ -256,12 +270,11 @@ class STPath4Counter:
             # the flipped (end,x) joins each far-side 2-path (m,y,far) for
             # every neighbor m of x; the far table's c_m also holds the
             # walk with y=x exactly when (x,far) is present
-            end, far, table = (s, t, self.tside) if in_s else (t, s, self.sside)
+            end, table, n_far = (s, self.tside, nt) if in_s else (t, self.sside, ns)
             x = b if a == end else a
-            nbrs = g.neighbors(x)
             total = table.row_total(x, (s, t))
-            k = len(nbrs) - (s in nbrs) - (t in nbrs)
-            if far in nbrs:
+            k = self.rows[x].bit_count() - (x in ns) - (x in nt)
+            if x in n_far:
                 total -= k
             self.c += delta * total
             self._ops += 1 + k
@@ -269,7 +282,6 @@ class STPath4Counter:
             self.tside.update(e, now_present)
             return
         u, v = a, b
-        ns, nt = g.neighbors(s), g.neighbors(t)
         su, sv, ut, vt = u in ns, v in ns, u in nt, v in nt
         sc, tc = self.sside.c, self.tside.c
         self._ops += 4
@@ -300,21 +312,21 @@ class STriangleCounter:
     def __init__(self, g: DynamicGraph, s: int):
         self.g = g
         self.s = s
-        ns, rows = g.neighbors(s), g.rows
-        self.ops = sum(g.degree(v) - 1 for v in ns)
+        self.rows = rows = g.rows  # live: flips change the rows and N(s) in place
+        self.ns = ns = g.neighbors(s)
+        self.ops = sum(rows[v].bit_count() - 1 for v in ns)
         self.c = sum((rows[s] & rows[v]).bit_count() for v in ns) // 2
 
     def update(self, e: Optional[Pair], now_present: bool) -> None:
         if e is None:
             return
-        s, g = self.s, self.g
+        s, rows, ns = self.s, self.rows, self.ns
         a, b = e
         delta = 1 if now_present else -1
-        ns = g.neighbors(s)
         if a == s or b == s:
             v = b if a == s else a
-            self.c += delta * (g.rows[s] & g.rows[v]).bit_count()
-            self.ops += 1 + g.n + 2 * (g.degree(v) - (v in ns))
+            self.c += delta * (rows[s] & rows[v]).bit_count()
+            self.ops += 1 + self.g.n + 2 * (rows[v].bit_count() - (v in ns))
         else:
             sa, sb = a in ns, b in ns
             self.c += delta * (sa and sb)

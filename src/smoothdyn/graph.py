@@ -9,6 +9,11 @@ rows of n bits), neighbor iteration is O(degree), the intersection of
 two neighbourhoods is one AND and popcount over n/64 words, and the
 edges are computed from the sets, by ``edges()`` and ``edge_set()`` in
 O(n + m) and ``edge_count()`` in O(n).
+
+The n adjacency sets and the ``rows`` list live as long as the graph: a
+flip changes them in place and never replaces them, so a reader may bind
+``neighbors(v)`` or ``rows`` once and see every later flip.  ``copy()``
+gives the copy sets and a list of its own.
 """
 
 from __future__ import annotations
@@ -96,6 +101,14 @@ def uniform_pairs(
     return picked[:, 0], picked[:, 1]
 
 
+@lru_cache(maxsize=4)
+def _upper(n: int) -> np.ndarray:
+    """The read-only n x n boolean mask of the pairs u < v."""
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    upper.flags.writeable = False
+    return upper
+
+
 def _int_rows(packed: np.ndarray) -> list[int]:
     """Each row of a byte matrix whose byte j of row v holds bits 8j..8j+7
     (little-endian) as an int with those bits set."""
@@ -107,6 +120,8 @@ class DynamicGraph:
 
     ``rows[v]`` is v's neighbourhood as a bit mask, bit u set iff u ~ v;
     like :meth:`neighbors` it is live state that callers must not assign.
+    The ``rows`` list and each adjacency set are the same objects for the
+    graph's whole life; flips update them in place.
     """
 
     __slots__ = ("n", "_adj", "rows")
@@ -158,9 +173,10 @@ class DynamicGraph:
     def neighbors(self, v: int) -> AbstractSet[int]:
         """The neighbors of ``v`` as a live view of the adjacency set.
 
-        The set changes with every later flip at ``v``; callers must not
-        mutate it.  No copy is made because the counters iterate it on
-        every update.
+        The set changes with every later flip at ``v``, in place: it is the
+        same object as long as the graph lives, so the counters bind N(s)
+        and N(t) once.  Callers must not mutate it.  No copy is made
+        because the counters iterate it on every update.
         """
         return self._adj[v]
 
@@ -219,11 +235,12 @@ def random_graph(
         mask = rng.random(len(restriction)) < 0.5
         return DynamicGraph(n, [e for e, keep in zip(restriction, mask) if keep])
     mask = rng.random(pair_count(n)) < 0.5
-    # np.triu_indices lists the pairs in row-major order; they are
-    # valid and distinct by construction, so the sets and rows come from
-    # the adjacency matrix without the constructor's per-edge checks
+    # a boolean mask assignment fills the upper triangle in row-major
+    # order, the pairs' order; they are valid and distinct by
+    # construction, so the sets and rows come from the adjacency matrix
+    # without the constructor's per-edge checks
     adjacent = np.zeros((n, n), dtype=bool)
-    adjacent[np.triu_indices(n, 1)] = mask
+    adjacent[_upper(n)] = mask
     adjacent |= adjacent.T
     # row-major: each node's neighbours in increasing order, the order in
     # which the constructor's row-major loop adds them to its set;

@@ -249,13 +249,28 @@ def notify_and_flip(g: DynamicGraph, edges: Iterable[Pair], observers: Sequence)
     observer's ``update(e, now_present)`` while ``g`` still holds the
     pre-flip state (the counters' ordering contract).  ``now_present`` is
     read from ``g`` once every earlier flip has landed, so ``edges`` may
-    be a generator that reads ``g``."""
+    be a generator that reads ``g``.
+
+    The observers' ``update`` methods are bound once per call, before the
+    first flip: a lone observer's is called directly, which is what every
+    caller in the library passes, and several are called in order by one
+    small function.
+    """
+    if len(observers) == 1:
+        update = observers[0].update
+    else:
+        updates = [obs.update for obs in observers]
+
+        def update(e: Pair, now_present: bool) -> None:
+            for each in updates:
+                each(e, now_present)
+
     nbrs, flip = g.neighbors, g.flip
     for e in edges:
-        now_present = e[1] not in nbrs(e[0])
-        for obs in observers:
-            obs.update(e, now_present)
-        flip(*e)
+        a, b = e
+        now_present = b not in nbrs(a)
+        update(e, now_present)
+        flip(a, b)
 
 
 def run_sequence(

@@ -12,7 +12,7 @@ from smoothdyn.adversaries import (
     run_adaptive_embed,
     run_oblivious_ar_embed,
 )
-from smoothdyn.graph import all_pairs, pair, random_graph
+from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph
 from smoothdyn.rng import trial_stream
 from smoothdyn.smoothing import Kind, Provenance, SmoothedSource
 
@@ -36,6 +36,20 @@ def test_task_validation():
     assert not infeasible.feasible
     with pytest.raises(InfeasibleTaskError):
         infeasible.require_feasible()
+    # malformed p, node range and budget: both runners fail before any draw
+    rng = trial_stream(9, 0)
+    state = rng.bit_generator.state
+    malformed = [
+        ({(0, 1), (0, 2)}, 1.5, 5, r"p=1.5 outside \[0,1\]"),
+        ({(0, 1), (0, 20)}, 0.5, 5, r"outside \[0, 10\)"),
+        ({(0, 1), (0, 2)}, 0.5, -3, "negative step budget -3"),
+    ]
+    for region, p, budget, match in malformed:
+        with pytest.raises(InfeasibleTaskError, match=match):
+            run_oblivious_ar_embed(EmbeddingTask(10, frozenset(region), ((0, 1),), p, budget), rng)
+        with pytest.raises(InfeasibleTaskError, match=match):
+            run_adaptive_embed(DynamicGraph(10), EmbeddingTask(10, frozenset(region), ((0, 1),), p, budget), rng)
+        assert rng.bit_generator.state == state
 
 
 def test_adaptive_embed_p1_exact_steps():

@@ -19,6 +19,7 @@ from smoothdyn.graph import (
     uniform_pairs,
     write_edge_list,
 )
+from smoothdyn.counters import STPath3Counter
 from smoothdyn.reduction import P3Layout
 from smoothdyn.rng import trial_stream
 
@@ -341,3 +342,26 @@ def test_read_edge_list_rejects_malformed(text):
 def test_read_edge_list_allows_trailing_blank_lines():
     g = read_edge_list(io.StringIO("3 1\n0 1\n\n  \n"))
     assert g.n == 3 and g.edge_set() == {(0, 1)}
+
+
+def test_sets_and_rows_live_as_long_as_the_graph():
+    """Flips change the adjacency sets and the ``rows`` list in place and
+    never replace them, so a counter may bind them once; a copy has its
+    own, and a counter built on the copy does not move when the original
+    flips."""
+    n = 14
+    g = random_graph(n, trial_stream(3, 0))
+    sets, rows = [g.neighbors(v) for v in range(n)], g.rows
+    copy = g.copy()
+    counter = STPath3Counter(copy, 0, 1)
+    count, ops = counter.query(), counter.ops
+    u, v = uniform_pairs(n, trial_stream(3, 1), 300)
+    for e in zip(u.tolist(), v.tolist()):
+        g.flip(*e)
+        assert g.rows is rows
+        assert all(g.neighbors(x) is sets[x] for x in range(n))
+    assert g.edge_set() != copy.edge_set()
+    assert copy.rows is not rows
+    assert not any(copy.neighbors(x) is sets[x] for x in range(n))
+    assert (counter.query(), counter.ops) == (count, ops)
+    assert STPath3Counter(copy, 0, 1).query() == count

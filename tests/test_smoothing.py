@@ -414,15 +414,40 @@ class _PreFlipProbe:
         self.updates += 1
 
 
+class _JournalObserver:
+    """Observer that appends each update, with the pair's presence in the
+    graph at the call, to a journal shared with other observers."""
+
+    def __init__(self, g, journal):
+        self.g = g
+        self.journal = journal
+
+    def update(self, e, now_present):
+        self.journal.append((self, e, now_present, e is not None and self.g.has(*e)))
+
+
+@pytest.mark.parametrize("observers", [1, 3])
 @pytest.mark.parametrize("model", MODELS)
-def test_observers_see_the_pre_flip_graph(model):
-    """Every step reaches every observer once: a flip before it lands, a
-    null step as ``update(None, False)``."""
+def test_observers_see_the_pre_flip_graph(model, observers):
+    """Every step reaches every observer once, in the order they are
+    listed: a flip before it lands, a null step as ``update(None, False)``.
+    One observer and several take the two bindings of ``notify_and_flip``."""
     n = 12
     g = random_graph(n, stream(7, 0))
-    probe = _PreFlipProbe(g)
-    log = run_sequence(g, make_model_source(model, SmoothingParams(0.5), n, 7, 0), 200, [probe])
+    probe, journal = _PreFlipProbe(g), []
+    recorders = [_JournalObserver(g, journal) for _ in range(observers - 1)]
+    log = run_sequence(g, make_model_source(model, SmoothingParams(0.5), n, 7, 0), 200, [probe, *recorders])
     assert probe.updates == len(log)
+    if not recorders:
+        return
+    assert len(journal) == len(recorders) * len(log)
+    steps = [journal[i : i + len(recorders)] for i in range(0, len(journal), len(recorders))]
+    for step in steps:
+        assert [entry[0] for entry in step] == recorders
+        (_, e, now_present, present), *rest = step
+        assert all(entry[1:] == (e, now_present, present) for entry in rest)
+        assert present != now_present if e is not None else not now_present
+    assert any(e is None for (_, e, _, _), *_ in steps) == (model == Model.OBLIVIOUS_AR.value)
 
 
 def test_event_log_determinism_and_format():
