@@ -136,15 +136,20 @@ def run_adaptive_embed(
     source = SmoothedSource(
         Model.ADAPTIVE, SmoothingParams(task.p), adversary, g.n, rng=rng
     )
-    observers = [adversary]
-    hits = 0
-    steps = 0
-    while not adversary.done and steps < task.budget:
-        ev = source.next_change(g)
-        notify_and_flip(g, (ev.edge,), observers)
-        if ev.provenance is _RANDOM and ev.edge in task.region:
-            hits += 1
-        steps += 1
+    region = task.region
+    hits = steps = 0
+
+    def changes():
+        # each step is drawn after the last flip landed, as in run_sequence
+        nonlocal hits, steps
+        while not adversary.done and steps < task.budget:
+            edge, _, provenance = source.next_change(g)
+            if provenance is _RANDOM and edge in region:
+                hits += 1
+            steps += 1
+            yield edge
+
+    notify_and_flip(g, changes(), (adversary,))
     return EmbedResult(adversary.done, steps, hits)
 
 

@@ -200,22 +200,23 @@ class DynamicGraph:
 
     def flip(self, u: int, v: int) -> bool:
         """Toggle the edge; return whether it is present afterwards."""
-        # pair() inlined, as in the constructor: every effective step flips
-        a, b = (u, v) if u < v else (v, u)
-        if a < 0 or a == b:
-            pair(u, v)  # raises the self-loop or negative-index error
-        if b >= self.n:
-            raise GraphError(f"edge {(a, b)} out of range for n={self.n}")
+        # every effective step flips, and nearly every pair is canonical
+        # and in range, so one chained test passes it; only the rest
+        # goes through pair() and the range check
+        if not 0 <= u < v < self.n:
+            u, v = pair(u, v)  # raises the self-loop or negative-index error
+            if v >= self.n:
+                raise GraphError(f"edge {(u, v)} out of range for n={self.n}")
         rows = self.rows
-        rows[a] ^= 1 << b
-        rows[b] ^= 1 << a
-        adj_a = self._adj[a]
-        if b in adj_a:
-            adj_a.remove(b)
-            self._adj[b].remove(a)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        adj_u = self._adj[u]
+        if v in adj_u:
+            adj_u.remove(v)
+            self._adj[v].remove(u)
             return False
-        adj_a.add(b)
-        self._adj[b].add(a)
+        adj_u.add(v)
+        self._adj[v].add(u)
         return True
 
 

@@ -1,14 +1,16 @@
 """Brute-force reference implementations.
 
-Everything here favors clarity over speed; path/cycle enumeration is
-capped at n <= 64.  These are the ground truth for every differential
-and Monte-Carlo test in the suite.
+These are the ground truth for every differential and Monte-Carlo test
+in the suite.  Path and cycle enumeration is capped at n <= 64 and
+reaches every path or cycle in one iteration of flat loops over
+adjacency sets bound once per call; it reads ``g.neighbors`` alone,
+never the bit rows or any counter table, so it stays independent of
+the counters it checks.  Every node named must lie in ``[0, n)``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from typing import List, Sequence, Tuple
 
 from .graph import DynamicGraph
@@ -25,56 +27,85 @@ def _check_cap(g: DynamicGraph) -> None:
         raise OracleCapError(f"enumeration oracle capped at n<={ENUM_CAP}, got n={g.n}")
 
 
+def _check_node(g: DynamicGraph, name: str, v: int) -> None:
+    if not 0 <= v < g.n:
+        raise ValueError(f"{name}={v} is not a node of the graph on [0, {g.n})")
+
+
 def bf_st_paths(g: DynamicGraph, s: int, t: int, k: int) -> int:
-    """Number of simple s-t paths with exactly k edges, k in {2,3,4}."""
+    """Number of simple s-t paths with exactly k edges, k in {2,3,4}.
+
+    Each path is one iteration of the loops: s-a-t over a, s-a-b-t over
+    a then b, and s-a-b-c-t over its middle node b, then a and c; the
+    guards keep the nodes distinct."""
     _check_cap(g)
+    _check_node(g, "s", s)
+    _check_node(g, "t", t)
     if s == t:
         raise ValueError("s and t must differ")
     if k not in (2, 3, 4):
         raise ValueError("k must be in {2,3,4}")
+    nbrs = g.neighbors
+    ns, nt = nbrs(s), nbrs(t)
     count = 0
-    visited = {s}
-
-    def extend(v: int, remaining: int) -> None:
-        nonlocal count
-        if remaining == 1:
-            if g.has(v, t):
-                count += 1
-            return
-        for w in g.neighbors(v):
-            if w != t and w not in visited:
-                visited.add(w)
-                extend(w, remaining - 1)
-                visited.remove(w)
-
-    extend(s, k)
+    if k == 2:
+        for a in ns:
+            count += a in nt
+    elif k == 3:
+        for a in ns:
+            if a != t:
+                for b in nbrs(a) & nt:
+                    count += b != s
+    else:
+        for b in range(g.n):
+            if b != s and b != t:
+                nb = nbrs(b)
+                cs = nb & nt
+                for a in nb & ns:
+                    if a != t:
+                        for c in cs:
+                            count += c != a and c != s
     return count
 
 
 def bf_s_cycles(g: DynamicGraph, s: int, k: int) -> int:
-    """Number of simple k-cycles through s, k in {3,4}; each counted once."""
+    """Number of simple k-cycles through s, k in {3,4}; each counted once.
+
+    Each cycle is one counted iteration of the loops: s-a-b-s over a then
+    b, and s-a-u-b-s over the node u opposite s, then a and b; a < b
+    picks one of the two orders of s's neighbours on the cycle."""
     _check_cap(g)
+    _check_node(g, "s", s)
     if k not in (3, 4):
         raise ValueError("k must be in {3,4}")
-    if k == 3:
-        return sum(1 for u, v in combinations(sorted(g.neighbors(s)), 2) if g.has(u, v))
-    # k == 4: cycle s-a-u-b-s determined by the unordered pair {a,b} of
-    # s-neighbors plus the midpoint u
+    nbrs = g.neighbors
+    ns = nbrs(s)
     count = 0
-    for a, b in combinations(sorted(g.neighbors(s)), 2):
-        count += sum(1 for u in g.neighbors(a) if u != s and u != b and g.has(u, b))
+    if k == 3:
+        for a in ns:
+            for b in nbrs(a) & ns:
+                count += a < b
+    else:
+        for u in range(g.n):
+            if u != s:
+                common = nbrs(u) & ns
+                for a in common:
+                    for b in common:
+                        count += a < b
     return count
 
 
 def bf_two_paths(g: DynamicGraph, s: int, u: int, t_excluded=None) -> int:
     """Number of s-u 2-paths; the edge (s, t_excluded) may not be used."""
+    _check_node(g, "s", s)
+    _check_node(g, "u", u)
     if u == s:
         return 0
-    return sum(
-        1
-        for v in g.neighbors(s)
-        if v != t_excluded and v != u and g.has(v, u)
-    )
+    nu = g.neighbors(u)
+    count = 0
+    for v in g.neighbors(s):
+        count += v in nu and v != t_excluded
+    return count
 
 
 def bf_connected(g: DynamicGraph) -> bool:

@@ -87,15 +87,27 @@ def test_construction_errors():
         DynamicGraph(3, [(-2, -1)])
 
 
-@pytest.mark.parametrize("u, v", [(0, -1), (-1, 2), (0, 3), (3, 0)])
+_FLIP_ERRORS = {
+    (0, -1): "negative node index in (0,-1)",
+    (-1, 2): "negative node index in (-1,2)",
+    (0, 3): "edge (0, 3) out of range for n=3",
+    (3, 0): "edge (0, 3) out of range for n=3",
+    (1, 1): "self-loop (1,1) is not a node pair",
+}
+
+
+@pytest.mark.parametrize("u, v", list(_FLIP_ERRORS))
 def test_flip_off_the_node_set_raises_and_changes_nothing(u, v):
     """A negative index would be a negative shift of a bit row, which
     raises a bare ValueError; the flip raises GraphError (a ValueError)
-    before touching either copy, and so does an index at or above n."""
+    before touching either copy, and so does an index at or above n or
+    a self-loop.  The message names the pair as given, or canonical when
+    it is out of range."""
     g = DynamicGraph(3, [(0, 1), (1, 2)])
     rows = list(g.rows)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError) as raised:
         g.flip(u, v)
+    assert str(raised.value) == _FLIP_ERRORS[u, v]
     assert g.rows == rows and g.edge_set() == {(0, 1), (1, 2)}
     # membership off [0, n) reads False instead of shifting by a negative count
     assert not g.has(u, v) and not g.has(v, u)
@@ -105,6 +117,10 @@ def test_flip_add_remove():
     g = DynamicGraph(4)
     assert g.flip(0, 1) is True
     assert g.flip(0, 1) is False
+    # a reversed pair is the same edge
+    assert g.flip(3, 2) is True
+    assert g.edge_set() == {(2, 3)} and g.rows == [0, 0, 1 << 3, 1 << 2]
+    assert g.flip(2, 3) is False
     assert g.edge_count() == 0
     k4 = DynamicGraph(4, list(all_pairs(4)))
     k4.flip(2, 3)

@@ -3,8 +3,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smoothdyn.graph import DynamicGraph, pair, random_graph
+from smoothdyn.graph import DynamicGraph, all_pairs, pair, random_graph
 from smoothdyn.oracles import (
     OracleCapError,
     bf_bipartite_matching,
@@ -54,6 +56,118 @@ def test_two_paths_examples():
     # excluding the (s, t) edge removes the middle node t
     tri = DynamicGraph(3, [(0, 1), (1, 2)])
     assert bf_two_paths(tri, 0, 2, t_excluded=1) == 0
+
+
+def _reference_st_paths(g, s, t, k):
+    """``bf_st_paths`` by recursion: a depth-first extension of the path
+    from s, with a visited set and a membership test at t."""
+    count = 0
+    visited = {s}
+
+    def extend(v, remaining):
+        nonlocal count
+        if remaining == 1:
+            count += g.has(v, t)
+            return
+        for w in g.neighbors(v):
+            if w != t and w not in visited:
+                visited.add(w)
+                extend(w, remaining - 1)
+                visited.remove(w)
+
+    extend(s, k)
+    return count
+
+
+def _reference_s_cycles(g, s, k):
+    """``bf_s_cycles`` over the unordered pairs {u, v} of s's neighbours:
+    the edge u-v, or each midpoint of u and v."""
+    pairs = combinations(sorted(g.neighbors(s)), 2)
+    if k == 3:
+        return sum(1 for u, v in pairs if g.has(u, v))
+    return sum(1 for a, b in pairs for u in g.neighbors(a) if u != s and u != b and g.has(u, b))
+
+
+def _reference_two_paths(g, s, u, t_excluded=None):
+    if u == s:
+        return 0
+    return sum(1 for v in g.neighbors(s) if v != t_excluded and v != u and g.has(v, u))
+
+
+@st.composite
+def graphs_with_ends(draw):
+    """A graph on 2 to 24 nodes, from empty through dense, with s and t
+    distinct; s, t or both may be isolated."""
+    n = draw(st.integers(2, 24))
+    density = draw(st.sampled_from([0.0, 0.15, 0.5, 0.85, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    keep = np.random.default_rng(seed).random(n * (n - 1) // 2) < density
+    g = DynamicGraph(n, [e for e, k in zip(all_pairs(n), keep) if k])
+    s, t = draw(st.permutations(range(n)))[:2]
+    for v in draw(st.sampled_from([(), (s,), (t,), (s, t)])):
+        for w in list(g.neighbors(v)):
+            g.flip(v, w)
+    if draw(st.booleans()) == g.has(s, t):  # s~t and s!~t both drawn
+        g.flip(s, t)
+    return g, s, t
+
+
+@given(graphs_with_ends(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_oracles_match_the_recursive_reference(drawn, data):
+    g, s, t = drawn
+    for k in (2, 3, 4):
+        assert bf_st_paths(g, s, t, k) == _reference_st_paths(g, s, t, k)
+        assert bf_st_paths(g, t, s, k) == bf_st_paths(g, s, t, k)  # paths reversed
+    for k in (3, 4):
+        assert bf_s_cycles(g, s, k) == _reference_s_cycles(g, s, k)
+    u = data.draw(st.integers(0, g.n - 1))
+    nbr = data.draw(st.sampled_from(sorted(g.neighbors(s)) or [t]))
+    for t_excluded in (None, t, nbr, u):
+        assert bf_two_paths(g, s, u, t_excluded) == _reference_two_paths(g, s, u, t_excluded)
+
+
+def test_oracles_read_no_bit_rows():
+    """The oracles read the adjacency sets alone, so a graph without bit
+    rows gets the same answers: they stay independent of the counters,
+    which read the rows."""
+    rng = np.random.default_rng(4)
+    for n in (2, 9, 24):
+        g = random_graph(n, rng)
+        bare = g.copy()
+        bare.rows = None
+        for k in (2, 3, 4):
+            assert bf_st_paths(bare, 0, n - 1, k) == bf_st_paths(g, 0, n - 1, k)
+        for k in (3, 4):
+            assert bf_s_cycles(bare, 0, k) == bf_s_cycles(g, 0, k)
+        for u in range(n):
+            assert bf_two_paths(bare, 0, u, 1) == bf_two_paths(g, 0, u, 1)
+
+
+def _chorded_five_cycle():
+    return DynamicGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+
+
+@pytest.mark.parametrize(
+    "oracle, args, name, node",
+    [
+        (bf_st_paths, (-1, 1, 3), "s", -1),
+        (bf_st_paths, (0, 7, 3), "t", 7),
+        (bf_st_paths, (5, 0, 2), "s", 5),
+        (bf_s_cycles, (-5, 4), "s", -5),
+        (bf_s_cycles, (9, 3), "s", 9),
+        (bf_two_paths, (0, 5, 1), "u", 5),
+        (bf_two_paths, (-1, 2), "s", -1),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_oracles_reject_nodes_off_the_node_set(oracle, args, name, node):
+    """A negative node would be read through Python's negative index as
+    another node's answer, and one at or above n would read as isolated
+    or raise a bare IndexError; each raises ValueError naming the node
+    and n."""
+    with pytest.raises(ValueError, match=rf"^{name}={node} is not a node of the graph on \[0, 5\)$"):
+        oracle(_chorded_five_cycle(), *args)
 
 
 def test_st2_matches_matrix_square():
