@@ -9,12 +9,12 @@ ineffective add/remove event as ``update(None, False)``.
 
 Each counter binds, once at construction, the graph's live state that
 its updates read (:class:`~smoothdyn.graph.DynamicGraph` changes it in
-place and never replaces it): st3 holds the ``rows`` list, N(s) and
+place and never replaces it): st3 holds n, the ``rows`` list, N(s) and
 N(t); s-triangle and every ``TwoPathTable`` hold ``rows`` and N(s); st4
 holds ``rows`` and its two tables' N(s) and N(t); s-4-cycle reads the
 graph only through its table.  An update reads a membership of N(s) or
 N(t) as ``x in ns`` and a degree as ``rows[v].bit_count()``; only a
-table's walk over a short row asks the graph for that row's set.
+table's walk over a short row reads that row's set, ``g.adj[v]``.
 
 The O(n) work of an
 s- or t-edge update runs word-parallel on the graph's bit rows
@@ -101,7 +101,7 @@ class TwoPathTable:
         self.s = s
         self.t_excluded = t_excluded
         self.rows = rows = g.rows  # live: flips change the rows and N(s) in place
-        self.ns = g.neighbors(s)
+        self.ns = g.adj[s]
         n, size = g.n, (g.n + 7) // 8
         mids = self.ns - {t_excluded}
         # every middle v is adjacent to s, so it adds |N(v)| - 1 counts
@@ -131,7 +131,7 @@ class TwoPathTable:
                 self._vec -= _unpack(row, g.n)
         else:
             c = self.c
-            for u in g.neighbors(v):
+            for u in g.adj[v]:
                 c[u] += delta
         if v in self.ns:  # s in N(v)
             self.c[s] -= delta  # c[s] stays 0
@@ -141,7 +141,7 @@ class TwoPathTable:
     def row_total(self, x: int, skip: Tuple[int, ...]) -> int:
         """Sum of c[u] over the neighbours u of x that are not in ``skip``."""
         g, c = self.g, self.c
-        nbrs = g.neighbors(x)
+        nbrs = g.adj[x]
         if len(nbrs) > _WALK_MAX:
             total = int(self._vec.dot(_unpack(self.rows[x], g.n)))
         else:
@@ -190,9 +190,10 @@ class STPath3Counter:
         self.g = g
         self.s = s
         self.t = t
+        self.n = g.n
         self.rows = rows = g.rows  # live: flips change the rows, N(s) and N(t) in place
-        self.ns = ns = g.neighbors(s)
-        self.nt = g.neighbors(t)
+        self.ns = ns = g.adj[s]
+        self.nt = g.adj[t]
         mids = ns - {t}
         self.ops = sum(rows[v].bit_count() - 1 for v in mids)
         self.c = sum((rows[t] & rows[v]).bit_count() for v in mids) - len(mids) * (t in ns)
@@ -209,7 +210,7 @@ class STPath3Counter:
                 return  # the (s,t) edge lies on no s-t 3-path
             rows = self.rows
             self.c += delta * ((rows[t] & rows[v]).bit_count() - (t in ns and v in ns))
-            self.ops += self.g.n + 2 * (rows[v].bit_count() - (v in ns))
+            self.ops += self.n + 2 * (rows[v].bit_count() - (v in ns))
         elif a == t or b == t:
             x = b if a == t else a
             rows = self.rows
@@ -313,7 +314,7 @@ class STriangleCounter:
         self.g = g
         self.s = s
         self.rows = rows = g.rows  # live: flips change the rows and N(s) in place
-        self.ns = ns = g.neighbors(s)
+        self.ns = ns = g.adj[s]
         self.ops = sum(rows[v].bit_count() - 1 for v in ns)
         self.c = sum((rows[s] & rows[v]).bit_count() for v in ns) // 2
 

@@ -10,17 +10,23 @@ two neighbourhoods is one AND and popcount over n/64 words, and the
 edges are computed from the sets, by ``edges()`` and ``edge_set()`` in
 O(n + m) and ``edge_count()`` in O(n).
 
-The n adjacency sets and the ``rows`` list live as long as the graph: a
-flip changes them in place and never replaces them, so a reader may bind
-``neighbors(v)`` or ``rows`` once and see every later flip.  ``copy()``
-gives the copy sets and a list of its own.
+The ``adj`` list of adjacency sets and the ``rows`` list are public live
+state and live as long as the graph: a flip changes them in place and
+never replaces them, so a reader may bind ``adj``, ``adj[v]`` or ``rows``
+once and see every later flip.  ``copy()`` gives the copy lists and sets
+of its own.
+
+A flip XORs the two rows with single-bit masks read from a tuple of
+``1 << v`` over the nodes, built once per n (:func:`_mask_table`) up to the
+n of the pair table's ``_TABLE_PAIRS`` bound (n <= 512, about 32 KiB);
+above it a flip shifts, so memory at large n does not grow.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import IO, AbstractSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import IO, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,6 +108,24 @@ def uniform_pairs(
 
 
 @lru_cache(maxsize=4)
+def _mask_table(n: int) -> Optional[Tuple[int, ...]]:
+    """The bit masks ``1 << v`` for v < n, which ``flip`` XORs into two
+    rows instead of building two new ints; None above the n of
+    ``_TABLE_PAIRS`` pairs, where flips shift."""
+    if pair_count(n) > _TABLE_PAIRS:
+        return None
+    return tuple(1 << v for v in range(n))
+
+
+@lru_cache(maxsize=4)
+def _nodes(n: int) -> np.ndarray:
+    """The read-only object array of the node ints 0..n-1."""
+    nodes = np.array(range(n), dtype=object)
+    nodes.flags.writeable = False
+    return nodes
+
+
+@lru_cache(maxsize=4)
 def _upper(n: int) -> np.ndarray:
     """The read-only n x n boolean mask of the pairs u < v."""
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -118,20 +142,22 @@ def _int_rows(packed: np.ndarray) -> list[int]:
 class DynamicGraph:
     """Simple graph with O(1) expected membership/flip and degree table.
 
-    ``rows[v]`` is v's neighbourhood as a bit mask, bit u set iff u ~ v;
-    like :meth:`neighbors` it is live state that callers must not assign.
-    The ``rows`` list and each adjacency set are the same objects for the
-    graph's whole life; flips update them in place.
+    ``adj[v]`` is v's neighbourhood as a set and ``rows[v]`` as a bit
+    mask, bit u set iff u ~ v.  Both are live state that callers read but
+    must not assign or mutate: the ``adj`` and ``rows`` lists and each
+    adjacency set are the same objects for the graph's whole life, and
+    flips update them in place.
     """
 
-    __slots__ = ("n", "_adj", "rows")
+    __slots__ = ("n", "adj", "rows", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Pair] = ()):
         if n < 0:
             raise GraphError("node count must be nonnegative")
         self.n = n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
-        adj = self._adj
+        self._masks = _mask_table(n)
+        self.adj: list[set[int]] = [set() for _ in range(n)]
+        adj = self.adj
         for u, v in edges:
             # pair() inlined: this loop builds every random start graph
             a, b = (u, v) if u < v else (v, u)
@@ -158,34 +184,24 @@ class DynamicGraph:
     def _holding(cls, n: int, adj: list[set[int]], rows: list[int]) -> "DynamicGraph":
         """A graph over sets and rows the caller built to agree, unchecked."""
         g = cls.__new__(cls)
-        g.n, g._adj, g.rows = n, adj, rows
+        g.n, g.adj, g.rows, g._masks = n, adj, rows, _mask_table(n)
         return g
 
     # -- queries ---------------------------------------------------------
 
     def has(self, u: int, v: int) -> bool:
         """Edge {u, v} present, in either orientation; False off ``[0, n)``."""
-        return 0 <= u < self.n and v in self._adj[u]
+        return 0 <= u < self.n and v in self.adj[u]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def neighbors(self, v: int) -> AbstractSet[int]:
-        """The neighbors of ``v`` as a live view of the adjacency set.
-
-        The set changes with every later flip at ``v``, in place: it is the
-        same object as long as the graph lives, so the counters bind N(s)
-        and N(t) once.  Callers must not mutate it.  No copy is made
-        because the counters iterate it on every update.
-        """
-        return self._adj[v]
+        return len(self.adj[v])
 
     def edge_count(self) -> int:
-        return sum(map(len, self._adj)) // 2
+        return sum(map(len, self.adj)) // 2
 
     def edges(self) -> Iterator[Pair]:
         """Every edge once, as ``(u, v)`` with ``u < v``."""
-        for u, nbrs in enumerate(self._adj):
+        for u, nbrs in enumerate(self.adj):
             for v in nbrs:
                 if u < v:
                     yield (u, v)
@@ -194,7 +210,7 @@ class DynamicGraph:
         return frozenset(self.edges())
 
     def copy(self) -> "DynamicGraph":
-        return DynamicGraph._holding(self.n, [set(a) for a in self._adj], list(self.rows))
+        return DynamicGraph._holding(self.n, [set(a) for a in self.adj], list(self.rows))
 
     # -- mutation --------------------------------------------------------
 
@@ -207,16 +223,20 @@ class DynamicGraph:
             u, v = pair(u, v)  # raises the self-loop or negative-index error
             if v >= self.n:
                 raise GraphError(f"edge {(u, v)} out of range for n={self.n}")
-        rows = self.rows
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        adj_u = self._adj[u]
+        rows, adj, masks = self.rows, self.adj, self._masks
+        if masks is None:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        else:
+            rows[u] ^= masks[v]
+            rows[v] ^= masks[u]
+        adj_u = adj[u]
         if v in adj_u:
             adj_u.remove(v)
-            self._adj[v].remove(u)
+            adj[v].remove(u)
             return False
         adj_u.add(v)
-        self._adj[v].add(u)
+        adj[v].add(u)
         return True
 
 
@@ -244,11 +264,11 @@ def random_graph(
     adjacent[_upper(n)] = mask
     adjacent |= adjacent.T
     # row-major: each node's neighbours in increasing order, the order in
-    # which the constructor's row-major loop adds them to its set;
-    # indexing an object array of the node ints makes every set hold the
-    # same n int objects instead of one new int per adjacency entry
-    nodes = np.array(range(n), dtype=object)
-    nbrs = nodes[np.nonzero(adjacent)[1]].tolist()
+    # which the constructor's row-major loop adds them to its set; a flat
+    # index mod n is the entry's column, and indexing the object array of
+    # the node ints makes every set hold the same n int objects instead of
+    # one new int per adjacency entry
+    nbrs = _nodes(n)[np.flatnonzero(adjacent) % n].tolist()
     ends = np.cumsum(adjacent.sum(axis=1)).tolist()
     adj = [set(nbrs[lo:hi]) for lo, hi in zip([0] + ends, ends)]
     return DynamicGraph._holding(n, adj, _int_rows(np.packbits(adjacent, axis=1, bitorder="little")))

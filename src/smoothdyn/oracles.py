@@ -3,7 +3,7 @@
 These are the ground truth for every differential and Monte-Carlo test
 in the suite.  Path and cycle enumeration is capped at n <= 64 and
 reaches every path or cycle in one iteration of flat loops over
-adjacency sets bound once per call; it reads ``g.neighbors`` alone,
+adjacency sets bound once per call; it reads the sets ``g.adj`` alone,
 never the bit rows or any counter table, so it stays independent of
 the counters it checks.  Every node named must lie in ``[0, n)``.
 """
@@ -45,8 +45,8 @@ def bf_st_paths(g: DynamicGraph, s: int, t: int, k: int) -> int:
         raise ValueError("s and t must differ")
     if k not in (2, 3, 4):
         raise ValueError("k must be in {2,3,4}")
-    nbrs = g.neighbors
-    ns, nt = nbrs(s), nbrs(t)
+    adj = g.adj
+    ns, nt = adj[s], adj[t]
     count = 0
     if k == 2:
         for a in ns:
@@ -54,12 +54,12 @@ def bf_st_paths(g: DynamicGraph, s: int, t: int, k: int) -> int:
     elif k == 3:
         for a in ns:
             if a != t:
-                for b in nbrs(a) & nt:
+                for b in adj[a] & nt:
                     count += b != s
     else:
         for b in range(g.n):
             if b != s and b != t:
-                nb = nbrs(b)
+                nb = adj[b]
                 cs = nb & nt
                 for a in nb & ns:
                     if a != t:
@@ -78,17 +78,17 @@ def bf_s_cycles(g: DynamicGraph, s: int, k: int) -> int:
     _check_node(g, "s", s)
     if k not in (3, 4):
         raise ValueError("k must be in {3,4}")
-    nbrs = g.neighbors
-    ns = nbrs(s)
+    adj = g.adj
+    ns = adj[s]
     count = 0
     if k == 3:
         for a in ns:
-            for b in nbrs(a) & ns:
+            for b in adj[a] & ns:
                 count += a < b
     else:
         for u in range(g.n):
             if u != s:
-                common = nbrs(u) & ns
+                common = adj[u] & ns
                 for a in common:
                     for b in common:
                         count += a < b
@@ -101,9 +101,9 @@ def bf_two_paths(g: DynamicGraph, s: int, u: int, t_excluded=None) -> int:
     _check_node(g, "u", u)
     if u == s:
         return 0
-    nu = g.neighbors(u)
+    nu = g.adj[u]
     count = 0
-    for v in g.neighbors(s):
+    for v in g.adj[s]:
         count += v in nu and v != t_excluded
     return count
 
@@ -115,7 +115,7 @@ def bf_connected(g: DynamicGraph) -> bool:
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
+        for w in g.adj[v]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -126,7 +126,12 @@ def bf_bipartite_matching(
     g: DynamicGraph, left: Sequence[int], right: Sequence[int]
 ) -> Tuple[int, bool]:
     """Maximum matching size by augmenting paths; perfect iff size==|side|."""
-    left_set, right_set = set(left), set(right)
+    for u in left:
+        _check_node(g, "left", u)
+    for v in right:
+        _check_node(g, "right", v)
+    adj = g.adj
+    left_set = set(left)
     for u, v in g.edges():
         if (u in left_set) == (v in left_set):
             raise ValueError(f"edge {(u, v)} is not bipartite for the given sides")
@@ -137,7 +142,7 @@ def bf_bipartite_matching(
         # depth first on an explicit stack, since a path can outgrow Python's
         # recursion limit; via[i] is the right node from stack[i] to stack[i + 1]
         seen = set()
-        stack = [(root, iter(g.neighbors(root)))]
+        stack = [(root, iter(adj[root]))]
         via: List[int] = []
         while stack:
             v = next((w for w in stack[-1][1] if w not in seen), None)
@@ -152,12 +157,12 @@ def bf_bipartite_matching(
                     match_of[w] = u
                 return True
             via.append(v)
-            stack.append((match_of[v], iter(g.neighbors(match_of[v]))))
+            stack.append((match_of[v], iter(adj[match_of[v]])))
         return False
 
     # greedy warm start, then augment the rest
     for u in left:
-        for v in g.neighbors(u):
+        for v in adj[u]:
             if v not in match_of:
                 match_of[v] = u
                 matched_left.add(u)

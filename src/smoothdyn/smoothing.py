@@ -235,7 +235,7 @@ def apply_event(g: DynamicGraph, ev: ChangeEvent) -> Tuple[bool, bool]:
     not mutate the graph.
     """
     u, v = ev.edge
-    present = v in g.neighbors(u)
+    present = v in g.adj[u]
     kind = ev.kind
     if kind is _FLIP:
         return True, not present
@@ -265,10 +265,10 @@ def notify_and_flip(g: DynamicGraph, edges: Iterable[Pair], observers: Sequence)
             for each in updates:
                 each(e, now_present)
 
-    nbrs, flip = g.neighbors, g.flip
+    adj, flip = g.adj, g.flip
     for e in edges:
         a, b = e
-        now_present = b not in nbrs(a)
+        now_present = b not in adj[a]
         update(e, now_present)
         flip(a, b)
 

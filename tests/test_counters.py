@@ -142,7 +142,7 @@ class ScanTwoPathTable(TwoPathTable):
     and ``row_total`` as a walk over the adjacency set."""
 
     def row_total(self, x, skip):
-        return sum(self.c[u] for u in self.g.neighbors(x) if u not in skip)
+        return sum(self.c[u] for u in self.g.adj[x] if u not in skip)
 
     def update(self, e, now_present):
         if e is None:
@@ -174,11 +174,11 @@ def test_two_path_table_matches_the_full_scan(data):
     excluded = data.draw(st.sampled_from([None, t]), label="t_excluded")
     g = random_graph(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     fast, scan = TwoPathTable(g, s, excluded), ScanTwoPathTable(g, s, excluded)
-    mids = g.neighbors(s) - {excluded}
-    assert list(fast.c) == [0 if u == s else len(g.neighbors(u) & mids) for u in range(n)]
+    mids = g.adj[s] - {excluded}
+    assert list(fast.c) == [0 if u == s else len(g.adj[u] & mids) for u in range(n)]
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         kind = data.draw(st.sampled_from(["any", "s", "st", "s-near-t"]))
-        near_t = sorted(g.neighbors(t) - {s})
+        near_t = sorted(g.adj[t] - {s})
         if kind == "st":
             e = (s, t)
         elif kind == "s-near-t" and near_t:
@@ -207,7 +207,7 @@ class TableSTPath3Counter:
         self.g, self.s, self.t = g, s, t
         self.two = TwoPathTable(g, s, t)
         self._ops = 0
-        self.c = sum(self.two.c[u] for u in g.neighbors(t) if u != s)
+        self.c = sum(self.two.c[u] for u in g.adj[t] if u != s)
 
     @property
     def ops(self):
@@ -227,7 +227,7 @@ class TableSTPath3Counter:
             self.two.update(e, now_present)
         else:
             moved = nodes_of(self.two.update(e, now_present))
-            self.c += delta * len(self.g.neighbors(t) & moved)
+            self.c += delta * len(self.g.adj[t] & moved)
             self._ops += len(moved)
 
     def query(self):
@@ -241,7 +241,7 @@ class TableSTriangleCounter:
         self.g, self.s = g, s
         self.two = TwoPathTable(g, s)
         self._ops = 0
-        self.c2 = sum(self.two.c[u] for u in g.neighbors(s))
+        self.c2 = sum(self.two.c[u] for u in g.adj[s])
 
     @property
     def ops(self):
@@ -257,7 +257,7 @@ class TableSTriangleCounter:
             self.c2 += delta * self.two.c[b if a == s else a]
             self._ops += 1
         moved = nodes_of(self.two.update(e, now_present))
-        self.c2 += delta * len(self.g.neighbors(s) & moved)
+        self.c2 += delta * len(self.g.adj[s] & moved)
         self._ops += len(moved)
 
     def query(self):
@@ -269,7 +269,7 @@ def _draw_step(data, g, s, t):
     """One s-, t-, (s,t)-, interior or null step on g, with s, t = 0, 1."""
     n = g.n
     kind = data.draw(st.sampled_from(["s", "t", "st", "s-near-t", "interior", "null"]))
-    near_t = sorted(g.neighbors(t) - {s})
+    near_t = sorted(g.adj[t] - {s})
     if kind == "st":
         return (s, t)
     if kind == "s-near-t" and near_t:
@@ -320,7 +320,7 @@ def _st3_charge(g, s, t, e):
     if e is None or {s, t} == set(e):
         return 0
     a, b = e
-    ns = g.neighbors(s)
+    ns = g.adj[s]
     if s in e:
         v = a + b - s
         return g.n + 2 * (g.degree(v) - (v in ns))
@@ -386,11 +386,11 @@ def test_table_build_matches_the_adjacency_sets(data):
                 g.flip(s, v)
     excluded = data.draw(st.sampled_from([None, t]), label="t_excluded")
     table = TwoPathTable(g, s, excluded)
-    mids = [v for v in range(n) if v != excluded and s in g.neighbors(v)]
-    expected = [0 if u == s else sum(u in g.neighbors(v) for v in mids) for u in range(n)]
+    mids = [v for v in range(n) if v != excluded and s in g.adj[v]]
+    expected = [0 if u == s else sum(u in g.adj[v] for v in mids) for u in range(n)]
     assert list(table.c) == expected
     assert all(type(k) is int for k in table.c)
-    assert table.ops == sum(len(g.neighbors(v) - {s}) for v in mids)
+    assert table.ops == sum(len(g.adj[v] - {s}) for v in mids)
 
 
 @given(st.data())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothdyn import graph
 from smoothdyn.graph import (
     DynamicGraph,
     GraphError,
@@ -45,7 +46,7 @@ def assert_rows_match_sets(g):
     assert len(g.rows) == g.n
     for v in range(g.n):
         assert type(g.rows[v]) is int
-        assert g.rows[v] == sum(1 << u for u in g.neighbors(v)), v
+        assert g.rows[v] == sum(1 << u for u in g.adj[v]), v
 
 
 def test_pair_canonical():
@@ -125,6 +126,33 @@ def test_flip_add_remove():
     k4 = DynamicGraph(4, list(all_pairs(4)))
     k4.flip(2, 3)
     assert k4.edge_count() == 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 34, 512, 513, 600]), st.data())
+def test_flips_keep_rows_on_both_sides_of_the_mask_bound(n, data):
+    """Flips XOR cached masks up to n = 512, the pair table's bound, and
+    shift above it; on both sides every row stays the mask of its set,
+    a flip returns the membership it leaves, and the off-range and
+    self-loop errors still raise."""
+    assert (graph._mask_table(n) is None) == (pair_count(n) > graph._TABLE_PAIRS) == (n > 512)
+    g = DynamicGraph(n, [(0, n - 1)] if n > 2 else [])
+    node = st.sampled_from([0, 1, n - 1]) | st.integers(0, n - 1)
+    pool = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), min_size=1, max_size=6))
+    for u, v in data.draw(st.lists(st.sampled_from(pool), max_size=25)):
+        assert g.flip(u, v) is g.has(u, v) is (u in g.adj[v])
+        assert_rows_match_sets(g)
+    rows = list(g.rows)
+    for u, v, message in (
+        (0, n, f"edge (0, {n}) out of range for n={n}"),
+        (n, 0, f"edge (0, {n}) out of range for n={n}"),
+        (-1, n - 1, f"negative node index in (-1,{n - 1})"),
+        (n - 1, n - 1, f"self-loop ({n - 1},{n - 1}) is not a node pair"),
+    ):
+        with pytest.raises(GraphError) as raised:
+            g.flip(u, v)
+        assert str(raised.value) == message
+    assert g.rows == rows
 
 
 @given(st.integers(2, 12), st.data())
@@ -262,7 +290,7 @@ def test_random_graph_matches_per_pair_decoding(n):
         for u, v in expected:
             adj[u].add(v)
             adj[v].add(u)
-        assert [set(g.neighbors(v)) for v in range(n)] == adj
+        assert [set(g.adj[v]) for v in range(n)] == adj
         assert_rows_match_sets(g)
         assert stream.bit_generator.state == twin.bit_generator.state
 
@@ -361,23 +389,23 @@ def test_read_edge_list_allows_trailing_blank_lines():
 
 
 def test_sets_and_rows_live_as_long_as_the_graph():
-    """Flips change the adjacency sets and the ``rows`` list in place and
-    never replace them, so a counter may bind them once; a copy has its
-    own, and a counter built on the copy does not move when the original
-    flips."""
+    """Flips change the ``adj`` list, its adjacency sets and the ``rows``
+    list in place and never replace them, so a counter may bind them
+    once; a copy has its own, and a counter built on the copy does not
+    move when the original flips."""
     n = 14
     g = random_graph(n, trial_stream(3, 0))
-    sets, rows = [g.neighbors(v) for v in range(n)], g.rows
+    adj, sets, rows = g.adj, list(g.adj), g.rows
     copy = g.copy()
     counter = STPath3Counter(copy, 0, 1)
     count, ops = counter.query(), counter.ops
     u, v = uniform_pairs(n, trial_stream(3, 1), 300)
     for e in zip(u.tolist(), v.tolist()):
         g.flip(*e)
-        assert g.rows is rows
-        assert all(g.neighbors(x) is sets[x] for x in range(n))
+        assert g.rows is rows and g.adj is adj
+        assert all(g.adj[x] is sets[x] for x in range(n))
     assert g.edge_set() != copy.edge_set()
-    assert copy.rows is not rows
-    assert not any(copy.neighbors(x) is sets[x] for x in range(n))
+    assert copy.rows is not rows and copy.adj is not adj
+    assert not any(copy.adj[x] is sets[x] for x in range(n))
     assert (counter.query(), counter.ops) == (count, ops)
     assert STPath3Counter(copy, 0, 1).query() == count

@@ -69,7 +69,7 @@ def _reference_st_paths(g, s, t, k):
         if remaining == 1:
             count += g.has(v, t)
             return
-        for w in g.neighbors(v):
+        for w in g.adj[v]:
             if w != t and w not in visited:
                 visited.add(w)
                 extend(w, remaining - 1)
@@ -82,16 +82,16 @@ def _reference_st_paths(g, s, t, k):
 def _reference_s_cycles(g, s, k):
     """``bf_s_cycles`` over the unordered pairs {u, v} of s's neighbours:
     the edge u-v, or each midpoint of u and v."""
-    pairs = combinations(sorted(g.neighbors(s)), 2)
+    pairs = combinations(sorted(g.adj[s]), 2)
     if k == 3:
         return sum(1 for u, v in pairs if g.has(u, v))
-    return sum(1 for a, b in pairs for u in g.neighbors(a) if u != s and u != b and g.has(u, b))
+    return sum(1 for a, b in pairs for u in g.adj[a] if u != s and u != b and g.has(u, b))
 
 
 def _reference_two_paths(g, s, u, t_excluded=None):
     if u == s:
         return 0
-    return sum(1 for v in g.neighbors(s) if v != t_excluded and v != u and g.has(v, u))
+    return sum(1 for v in g.adj[s] if v != t_excluded and v != u and g.has(v, u))
 
 
 @st.composite
@@ -105,7 +105,7 @@ def graphs_with_ends(draw):
     g = DynamicGraph(n, [e for e, k in zip(all_pairs(n), keep) if k])
     s, t = draw(st.permutations(range(n)))[:2]
     for v in draw(st.sampled_from([(), (s,), (t,), (s, t)])):
-        for w in list(g.neighbors(v)):
+        for w in list(g.adj[v]):
             g.flip(v, w)
     if draw(st.booleans()) == g.has(s, t):  # s~t and s!~t both drawn
         g.flip(s, t)
@@ -122,7 +122,7 @@ def test_oracles_match_the_recursive_reference(drawn, data):
     for k in (3, 4):
         assert bf_s_cycles(g, s, k) == _reference_s_cycles(g, s, k)
     u = data.draw(st.integers(0, g.n - 1))
-    nbr = data.draw(st.sampled_from(sorted(g.neighbors(s)) or [t]))
+    nbr = data.draw(st.sampled_from(sorted(g.adj[s]) or [t]))
     for t_excluded in (None, t, nbr, u):
         assert bf_two_paths(g, s, u, t_excluded) == _reference_two_paths(g, s, u, t_excluded)
 
@@ -212,6 +212,23 @@ def test_bipartite_matching_basics():
     assert bf_bipartite_matching(DynamicGraph(6), left, right) == (0, False)
     with pytest.raises(ValueError):
         bf_bipartite_matching(DynamicGraph(6, [(0, 1)]), left, right)
+
+
+@pytest.mark.parametrize(
+    "left, right, message",
+    [
+        ([0, 9], [2, 3], r"^left=9 is not a node of the graph on \[0, 4\)$"),
+        ([-4, 1], [2, 3], r"^left=-4 is not a node of the graph on \[0, 4\)$"),
+        ([0, 1], [2, 4], r"^right=4 is not a node of the graph on \[0, 4\)$"),
+    ],
+    ids=["left-above-n", "left-negative", "right-above-n"],
+)
+def test_bipartite_matching_rejects_sides_off_the_node_set(left, right, message):
+    """A side node outside [0, n) is named before any graph read, not met
+    as a bare IndexError or, negative, as an edge that is not bipartite."""
+    for g in (DynamicGraph(4, [(0, 2)]), DynamicGraph(4, [(0, 2), (1, 3)])):
+        with pytest.raises(ValueError, match=message):
+            bf_bipartite_matching(g, left, right)
 
 
 def test_bipartite_matching_augments_past_the_recursion_limit():

@@ -107,7 +107,7 @@ def test_smooth_initial_matches_zip_reference(n, restricted):
             for u, v in expected:
                 adj[u].add(v)
                 adj[v].add(u)
-            assert [set(g.neighbors(v)) for v in range(n)] == adj
+            assert [set(g.adj[v]) for v in range(n)] == adj
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
