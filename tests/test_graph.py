@@ -130,12 +130,11 @@ def test_flip_add_remove():
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([2, 34, 512, 513, 600]), st.data())
-def test_flips_keep_rows_on_both_sides_of_the_mask_bound(n, data):
-    """Flips XOR cached masks up to n = 512, the pair table's bound, and
-    shift above it; on both sides every row stays the mask of its set,
-    a flip returns the membership it leaves, and the off-range and
-    self-loop errors still raise."""
-    assert (graph._mask_table(n) is None) == (pair_count(n) > graph._TABLE_PAIRS) == (n > 512)
+def test_flips_keep_rows_the_masks_of_their_sets(n, data):
+    """Flips XOR the cached masks at every n: every row stays the mask of
+    its set, a flip returns the membership it leaves, and the off-range
+    and self-loop errors still raise."""
+    assert graph._mask_table(n) == tuple(1 << v for v in range(n))
     g = DynamicGraph(n, [(0, n - 1)] if n > 2 else [])
     node = st.sampled_from([0, 1, n - 1]) | st.integers(0, n - 1)
     pool = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), min_size=1, max_size=6))
